@@ -3,25 +3,14 @@
 Bound states come from a single residue at z = -lambda; continuum states are
 evaluated along three independent contour routes (real segment, circle with
 tracked phases, series around infinity) that cross-validate one another.
+
+The package exports the documented entry points, the types they take and
+return, and the exceptions they raise; every other layer stays importable
+from its own module.
 """
 
-from .core_laplace import (
-    BranchPointEvaluation,
-    CanonicalODE,
-    CutLayout,
-    DegenerateLambda,
-    Exponents,
-    PhaseConvention,
-    Polynomial,
-    Regime,
-    build_pq,
-    default_phase_convention,
-    exponents,
-    integrand,
-)
+from .core_laplace import BranchPointEvaluation, DegenerateLambda
 from .potential_catalog import (
-    BOUND_KINDS,
-    CONTINUUM_KINDS,
     DomainError,
     InvalidQuantumNumbers,
     Kind,
@@ -29,13 +18,7 @@ from .potential_catalog import (
     ProblemSpec,
     QuantumNumbers,
     RegimeMismatch,
-    assemble_wavefunction,
     bound_energy,
-    canonicalize,
-    coordinate_map,
-    n_start,
-    quantization_check,
-    residue_lattice_energy,
 )
 from .contour_eval import (
     ContourConfig,
@@ -44,68 +27,33 @@ from .contour_eval import (
     NonIntegerOrder,
     PrecisionLoss,
     WavefunctionGrid,
-    bound_phi_residue,
-    continuum_phi_circle,
-    continuum_phi_real_integral,
-    continuum_phi_series,
-    morse_continuum_phi,
-    phi_values,
     sample_wavefunction,
 )
-from .validation import (
-    ComparisonReport,
-    cross_method_report,
-    ode_residual_sweep,
-    spectrum_table,
-)
+from .validation import ComparisonReport, cross_method_report, spectrum_table
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BOUND_KINDS",
-    "BranchPointEvaluation",
-    "CONTINUUM_KINDS",
-    "CanonicalODE",
+    # entry points and the types they take or return
     "ComparisonReport",
     "ContourConfig",
-    "CutLayout",
-    "DegenerateLambda",
-    "DomainError",
-    "Exponents",
-    "InvalidQuantumNumbers",
     "Kind",
     "Method",
+    "ProblemSpec",
+    "QuantumNumbers",
+    "WavefunctionGrid",
+    "bound_energy",
+    "cross_method_report",
+    "sample_wavefunction",
+    "spectrum_table",
+    # exceptions and warnings
+    "BranchPointEvaluation",
+    "DegenerateLambda",
+    "DomainError",
+    "InvalidQuantumNumbers",
     "MethodRegimeMismatch",
     "NonIntegerOrder",
     "NotBoundProblem",
-    "PhaseConvention",
-    "Polynomial",
     "PrecisionLoss",
-    "ProblemSpec",
-    "QuantumNumbers",
-    "Regime",
     "RegimeMismatch",
-    "WavefunctionGrid",
-    "assemble_wavefunction",
-    "bound_energy",
-    "bound_phi_residue",
-    "build_pq",
-    "canonicalize",
-    "continuum_phi_circle",
-    "continuum_phi_real_integral",
-    "continuum_phi_series",
-    "coordinate_map",
-    "cross_method_report",
-    "default_phase_convention",
-    "exponents",
-    "integrand",
-    "morse_continuum_phi",
-    "n_start",
-    "ode_residual_sweep",
-    "phi_values",
-    "quantization_check",
-    "residue_lattice_energy",
-    "sample_wavefunction",
-    "spectrum_table",
-    "__version__",
 ]

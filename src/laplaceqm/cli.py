@@ -9,13 +9,14 @@ CSV, so identical invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .contour_eval import ContourConfig, Method, MethodRegimeMismatch, sample_wavefunction
+from .contour_eval import ROUTES, ContourConfig, Method, MethodRegimeMismatch, sample_wavefunction
 from .potential_catalog import (
     BOUND_KINDS,
     RADIAL_KINDS,
@@ -49,7 +50,7 @@ _METHOD_FLAGS = {
 }
 
 _INT_PARAMS = {"n", "m", "l", "n_max"}
-_FLOAT_PARAMS = {"E", "V0", "a", "a0", "omega", "mu", "tol"}
+_FLOAT_PARAMS = {"E", "V0", "a", "a0", "omega", "mu"}
 _PARAM_KEYS = _INT_PARAMS | _FLOAT_PARAMS
 
 
@@ -180,17 +181,9 @@ def cmd_spectrum(cfg: RunConfig) -> str:
     return render_csv(["n", "N", "E"], rows)
 
 
-def _default_method(kind: Kind) -> Method:
-    if kind in BOUND_KINDS:
-        return Method.RESIDUE
-    if kind is Kind.MORSE_CONT:
-        return Method.MORSE_RAY
-    return Method.REAL_INTEGRAL
-
-
 def cmd_wavefunction(cfg: RunConfig) -> str:
     spec = cfg.problem()
-    method = cfg.method or _default_method(cfg.kind)
+    method = cfg.method or ROUTES[cfg.kind][0]
     lo, hi, count = cfg.grid
     if cfg.kind in RADIAL_KINDS and lo < 0.0:
         raise ConfigError("radial kinds need a nonnegative coordinate grid")
@@ -207,7 +200,6 @@ def cmd_wavefunction(cfg: RunConfig) -> str:
     for i, x in enumerate(coords):
         try:
             grid = sample_wavefunction(spec, state, np.array([x]), method, contour)
-            coord, xi, phi, psi = grid.entries[0]
         except ConfigError:
             raise
         except (RegimeMismatch, NotBoundProblem, InvalidQuantumNumbers, DomainError) as exc:
@@ -216,8 +208,10 @@ def cmd_wavefunction(cfg: RunConfig) -> str:
             raise EvaluationFailure(
                 f"evaluation failed at point {i} (coordinate={x:.6g}): {exc}"
             ) from exc
+        phi, psi = grid.phi[0], grid.psi[0]
         rows.append(
-            (coord, xi, phi.real, phi.imag, psi.real, psi.imag, method.value)
+            (grid.coordinates[0], grid.xi[0], phi.real, phi.imag, psi.real, psi.imag,
+             method.value)
         )
     return render_csv(
         ["coordinate", "xi", "re_phi", "im_phi", "re_psi", "im_psi", "method"], rows
@@ -233,8 +227,7 @@ def cmd_validate(cfg: RunConfig) -> str:
     grid = np.linspace(lo, hi, count)
     report = cross_method_report(spec, energy, grid, cfg.contour())
 
-    methods = (Method.REAL_INTEGRAL, Method.CIRCLE, Method.SERIES)
-    ref = report.values[Method.REAL_INTEGRAL]
+    methods = tuple(report.values)
     for m in methods:
         if not np.any(np.isfinite(report.values[m])):
             raise EvaluationFailure(f"method {m.value} failed at every grid point")
@@ -242,8 +235,7 @@ def cmd_validate(cfg: RunConfig) -> str:
     header = ["xi"]
     for m in methods:
         header += [f"re_{m.value}", f"im_{m.value}"]
-    pairs = [(a, b) for i, a in enumerate(methods) for b in methods[i + 1 :]]
-    header += [f"dev_{a.value}_{b.value}" for a, b in pairs]
+    header += [f"dev_{a.value}_{b.value}" for a, b in report.pairwise_rel_dev]
 
     rows = []
     for i, xi in enumerate(report.grid):
@@ -251,17 +243,7 @@ def cmd_validate(cfg: RunConfig) -> str:
         for m in methods:
             v = report.values[m][i]
             row += [v.real, v.imag]
-        for a, b in pairs:
-            va, vb, r = report.values[a][i], report.values[b][i], ref[i]
-            if (
-                np.isfinite(va)
-                and np.isfinite(vb)
-                and np.isfinite(r)
-                and abs(r) > 1e-12
-            ):
-                row.append(abs(va - vb) / abs(r))
-            else:
-                row.append(float("nan"))
+        row += [dev[i] for dev in report.pairwise_rel_dev.values()]
         rows.append(row)
 
     footers = [f"pairwise_max_rel_dev = {report.pairwise_max_rel_dev:.6e}"]
@@ -283,9 +265,12 @@ def _parse_grid(text: str) -> Tuple[float, float, int]:
     if len(parts) != 3:
         raise ConfigError("grid must be min,max,count")
     try:
-        return float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"bad grid {text!r}: {exc}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"bad grid {text!r}: bounds must be finite")
+    return lo, hi, count
 
 
 def _parse_param(key: str, value: str) -> Tuple[str, float]:
@@ -294,9 +279,12 @@ def _parse_param(key: str, value: str) -> Tuple[str, float]:
             f"unknown parameter {key!r}; known: {', '.join(sorted(_PARAM_KEYS))}"
         )
     try:
-        return key, (int(value) if key in _INT_PARAMS else float(value))
+        parsed = int(value) if key in _INT_PARAMS else float(value)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {value!r}") from exc
+    if not math.isfinite(parsed):
+        raise ConfigError(f"bad value for {key}: {value!r} is not finite")
+    return key, parsed
 
 
 def _read_config_file(path: str) -> Dict[str, str]:
@@ -335,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
             default=[],
             metavar="k=v",
             help="problem or run parameter; repeatable "
-            "(E, n, m, l, n_max, V0, a, a0, omega, mu, tol)",
+            "(E, n, m, l, n_max, V0, a, a0, omega, mu)",
         )
         p.add_argument("--grid", help="min,max,count (coordinate space for "
                        "wavefunction, xi space for validate)")

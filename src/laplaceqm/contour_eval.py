@@ -13,8 +13,8 @@ import cmath
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -25,7 +25,9 @@ from .core_laplace import (
     PhaseConvention,
     Regime,
     default_phase_convention,
+    degenerate_free,
     exponents,
+    log_integrand,
 )
 from .special_fn import (
     _adaptive_gauss,
@@ -56,66 +58,43 @@ class Method(enum.Enum):
     MORSE_RAY = "morse_ray"
 
 
-class ContourKind(enum.Enum):
-    CLOSED_AROUND_MINUS_LAMBDA = "closed_around_minus_lambda"
-    CIRCLE_RADIUS_R = "circle_radius_r"
-    REAL_SEGMENT = "real_segment"
-    RAY_FROM_MINUS_LAMBDA = "ray_from_minus_lambda"
-
-
-class Quadrature(enum.Enum):
-    TRAPEZOID = "trapezoid"
-    GAUSS_COMPOSITE = "gauss_composite"
+# kind -> admissible routes, the default (reference) route first
+ROUTES: Dict[catalog.Kind, Tuple[Method, ...]] = {
+    **dict.fromkeys(catalog.BOUND_KINDS, (Method.RESIDUE,)),
+    **dict.fromkeys(
+        catalog.CONTINUUM_KINDS, (Method.REAL_INTEGRAL, Method.CIRCLE, Method.SERIES)
+    ),
+    catalog.Kind.MORSE_CONT: (Method.MORSE_RAY,),
+}
 
 
 @dataclass(frozen=True)
 class ContourConfig:
-    kind: ContourKind = ContourKind.CIRCLE_RADIUS_R
+    """Radius and step count of the circle route."""
+
     radius_R: float = 1.1
     steps: int = 100_000
-    quadrature: Quadrature = Quadrature.TRAPEZOID
 
     def __post_init__(self):
-        if self.kind is ContourKind.CIRCLE_RADIUS_R:
-            if not self.radius_R > 1.0:
-                raise ValueError("circle radius must exceed 1 (outside both branch points)")
-            if self.steps < 1000:
-                raise ValueError("circle rule needs at least 1000 steps")
-        if self.steps < 2:
-            raise ValueError("steps must be >= 2")
+        if not 1.0 < self.radius_R < math.inf:
+            raise ValueError(
+                "circle radius must be finite and exceed 1 (outside both branch points)"
+            )
+        if self.steps < 1000:
+            raise ValueError("circle rule needs at least 1000 steps")
 
 
-@dataclass(frozen=True)
-class PhaseState:
-    theta: float
-    phi1: float
-    phi2: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WavefunctionGrid:
-    """Sorted (coordinate, xi, Phi, psi) samples for one problem and method."""
+    """Coordinate-sorted samples of one state: coordinate, xi, Phi and psi."""
 
-    entries: tuple
+    coordinates: np.ndarray
+    xi: np.ndarray
+    phi: np.ndarray
+    psi: np.ndarray
     method: Method
     problem: catalog.ProblemSpec
     energy: float
-
-    @property
-    def coordinates(self) -> np.ndarray:
-        return np.array([e[0] for e in self.entries])
-
-    @property
-    def xi(self) -> np.ndarray:
-        return np.array([e[1] for e in self.entries])
-
-    @property
-    def phi(self) -> np.ndarray:
-        return np.array([e[2] for e in self.entries], dtype=complex)
-
-    @property
-    def psi(self) -> np.ndarray:
-        return np.array([e[3] for e in self.entries], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +151,12 @@ def _bracket_coefficient(ode: CanonicalODE, exps: Exponents) -> complex:
     """Edge-combination factor i(e^{-pi delta/2} -+ e^{pi delta/2}).
 
     Minus sign when Re(alpha_plus) is an integer, plus when half-odd. In the
-    free integer case (delta = 0) the bracket vanishes identically: the
-    integrand is single-valued and the two edges cancel, so the open segment
-    between the branch points is used instead with unit coefficient.
+    degenerate free case the bracket vanishes identically: the two edges
+    cancel, so the open segment between the branch points is used instead
+    with unit coefficient.
     """
+    if degenerate_free(ode, exps):
+        return 1j
     re_ap = exps.alpha_plus.real
     if abs(re_ap - round(re_ap)) < 1e-9:
         sign = -1.0
@@ -186,10 +167,7 @@ def _bracket_coefficient(ode: CanonicalODE, exps: Exponents) -> complex:
             f"edge combination undefined for Re(alpha_plus) = {re_ap:.6g}"
         )
     half = 0.5 * math.pi * ode.delta
-    value = 1j * (math.exp(-half) + sign * math.exp(half))
-    if value == 0:
-        return 1j  # degenerate free case: plain segment, no edge doubling
-    return value
+    return 1j * (math.exp(-half) + sign * math.exp(half))
 
 
 def continuum_phi_real_integral(
@@ -268,14 +246,6 @@ def phase_phi2(theta, radius):
     return out if np.ndim(theta) else float(out)
 
 
-def phase_state(theta: float, radius: float) -> PhaseState:
-    return PhaseState(
-        theta=float(theta),
-        phi1=float(phase_phi1(theta, radius)),
-        phi2=float(phase_phi2(theta, radius)),
-    )
-
-
 _PRECISION_EXPONENT_LIMIT = 700.0
 
 
@@ -298,8 +268,6 @@ def continuum_phi_circle(
     if ode.regime is not Regime.CONTINUUM:
         raise MethodRegimeMismatch("circle rule applies to the continuum regime")
     cfg = config or ContourConfig()
-    if cfg.kind is not ContourKind.CIRCLE_RADIUS_R:
-        raise ValueError("circle evaluation requires a CIRCLE_RADIUS_R config")
     r, n = cfg.radius_R, cfg.steps
     xi = float(xi)
     if r * xi > _PRECISION_EXPONENT_LIMIT:
@@ -308,11 +276,9 @@ def continuum_phi_circle(
             PrecisionLoss,
             stacklevel=2,
         )
-    ap, am = exps.alpha_plus, exps.alpha_minus
-    degenerate = ode.delta == 0.0 and abs(ap.real - round(ap.real)) < 1e-9
-    if degenerate:
+    if degenerate_free(ode, exps):
         # here alpha_+- are the same integer, so the moduli combine exactly
-        power = int(round(ap.real)) - 1
+        power = int(round(exps.alpha_plus.real)) - 1
         y, h = np.linspace(-1.0, 1.0, n + 1, retstep=True)
         vals = np.exp(1j * xi * y) * (1.0 - y * y) ** power
         weights = np.full(n + 1, h, dtype=float)
@@ -320,13 +286,7 @@ def continuum_phi_circle(
         return 1j * complex(np.sum(weights * vals))
     theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     z = r * np.exp(1j * (theta + 0.5 * math.pi))
-    m2 = np.abs(z - ode.lam)
-    m1 = np.abs(z + ode.lam)
-    logf = (
-        xi * z
-        + (ap - 1.0) * (np.log(m2) + 1j * phase_phi2(theta, r))
-        + (am - 1.0) * (np.log(m1) + 1j * phase_phi1(theta, r))
-    )
+    logf = log_integrand(ode, exps, xi, z, (phase_phi1(theta, r), phase_phi2(theta, r)))
     with np.errstate(over="ignore", invalid="ignore"):
         summand = 1j * z * np.exp(logf)
         total = np.sum(summand) * (2.0 * math.pi / n)
@@ -363,15 +323,14 @@ def continuum_phi_series(
             PrecisionLoss,
             stacklevel=2,
         )
-    monodromy = cmath.exp(2j * math.pi * ap) - 1.0
-    if abs(monodromy) < 1e-12:
+    if degenerate_free(ode, exps):
         pref = 1j * cmath.exp((beta - 1.0) * math.log(2.0))
     else:
         pref = (
             -2j
             * math.pi
             * math.exp(-0.5 * math.pi * ode.delta)
-            * monodromy
+            * (cmath.exp(2j * math.pi * ap) - 1.0)
             / (4.0 * math.pi)
             * cmath.exp(beta * math.log(2.0))
         )
@@ -405,20 +364,9 @@ def morse_continuum_phi(
 # ---------------------------------------------------------------------------
 # Grid sampling
 
-_BOUND_METHODS = {Method.RESIDUE}
-_CONTINUUM_METHODS = {Method.REAL_INTEGRAL, Method.CIRCLE, Method.SERIES}
-
-
 def _check_method(spec: catalog.ProblemSpec, method: Method):
-    kind = spec.kind
-    if kind in catalog.BOUND_KINDS:
-        ok = method in _BOUND_METHODS
-    elif kind is catalog.Kind.MORSE_CONT:
-        ok = method is Method.MORSE_RAY
-    else:
-        ok = method in _CONTINUUM_METHODS
-    if not ok:
-        raise MethodRegimeMismatch(f"method {method.value} not valid for {kind.value}")
+    if method not in ROUTES[spec.kind]:
+        raise MethodRegimeMismatch(f"method {method.value} not valid for {spec.kind.value}")
 
 
 def phi_values(
@@ -440,19 +388,17 @@ def phi_values(
     if method is Method.RESIDUE:
         N = round(-exps.alpha_minus.real)
         return np.asarray(bound_phi_residue(ode, N, xs), dtype=complex)
+    kw = {} if tol is None else {"tol": tol}
     if method is Method.REAL_INTEGRAL:
-        t = 1e-11 if tol is None else tol
-        return np.array([continuum_phi_real_integral(ode, exps, x, t) for x in xs])
+        return np.array([continuum_phi_real_integral(ode, exps, x, **kw) for x in xs])
     if method is Method.CIRCLE:
         conv = default_phase_convention(ode)
         return np.array(
             [continuum_phi_circle(ode, exps, conv, x, config) for x in xs]
         )
     if method is Method.SERIES:
-        t = 1e-15 if tol is None else tol
-        return np.array([continuum_phi_series(ode, exps, x, t) for x in xs])
-    t = 1e-10 if tol is None else tol
-    return np.array([morse_continuum_phi(ode, exps, x, t) for x in xs])
+        return np.array([continuum_phi_series(ode, exps, x, **kw) for x in xs])
+    return np.array([morse_continuum_phi(ode, exps, x, **kw) for x in xs])
 
 
 def sample_wavefunction(
@@ -480,8 +426,4 @@ def sample_wavefunction(
     xi = cmap.xi(coords)
     phi = phi_values(spec, energy, xi, method, config)
     psi = cmap.prefactor(coords) * phi
-    entries = tuple(
-        (float(c), float(x), complex(ph), complex(ps))
-        for c, x, ph, ps in zip(coords, xi, phi, psi)
-    )
-    return WavefunctionGrid(entries=entries, method=method, problem=spec, energy=energy)
+    return WavefunctionGrid(coords, xi, phi, psi, method=method, problem=spec, energy=energy)

@@ -13,6 +13,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class DegenerateLambda(ValueError):
     """Coincident characteristic roots: lambda = 0 has no exponent pair."""
@@ -145,6 +147,46 @@ def default_phase_convention(ode: CanonicalODE) -> PhaseConvention:
     return PhaseConvention(reference_point_phase=phase, cut_layout=layout)
 
 
+def degenerate_free(ode: CanonicalODE, exps: Exponents) -> bool:
+    """delta == 0 exactly and Re(alpha_plus) an integer: the free integer case.
+
+    There alpha_+ = alpha_- is an integer, the integrand is single-valued, and
+    every continuum route integrates straight across the branch-point segment
+    with unit coefficient instead of combining the two cut edges.  Any
+    nonzero delta, however small, takes the general edge combination.
+    """
+    re_ap = exps.alpha_plus.real
+    return ode.delta == 0.0 and abs(re_ap - round(re_ap)) < 1e-9
+
+
+def log_integrand(ode: CanonicalODE, exps: Exponents, xi: float, z, phases=(0.0, 0.0)):
+    """log of the integrand without its reference phase, elementwise over z.
+
+    phases = (phi1, phi2) are winding angles accumulated from the reference
+    point: phi1 multiplies the (z + lambda) factor, phi2 the (z - lambda)
+    one. Moduli are raised to the full complex exponents as
+    m^(a+ib) = m^a * e^{i b ln m} on the positive real m.  At a branch point
+    the log is -inf where the factor vanishes; a divergent factor raises.
+    """
+    phi1, phi2 = phases
+    z = np.asarray(z, dtype=complex)
+    m2 = np.abs(z - ode.lam)
+    m1 = np.abs(z + ode.lam)
+    at_branch = (m2 == 0.0) | (m1 == 0.0)
+    for mod, alpha in ((m2, exps.alpha_plus), (m1, exps.alpha_minus)):
+        if (alpha - 1.0).real < 0.0 and np.any(mod == 0.0):
+            raise BranchPointEvaluation(
+                "integrand evaluated at a branch point with divergent exponent"
+            )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logf = (
+            xi * z
+            + (exps.alpha_plus - 1.0) * (np.log(m2) + 1j * phi2)
+            + (exps.alpha_minus - 1.0) * (np.log(m1) + 1j * phi1)
+        )
+    return np.where(at_branch, -np.inf, logf)
+
+
 def integrand(
     ode: CanonicalODE,
     exps: Exponents,
@@ -153,26 +195,6 @@ def integrand(
     z: complex,
     phases=(0.0, 0.0),
 ) -> complex:
-    """Single-valued integrand value at z with explicit winding angles.
-
-    phases = (phi1, phi2) are winding angles accumulated from the reference
-    point: phi1 multiplies the (z + lambda) factor, phi2 the (z - lambda)
-    one. Moduli are raised to the full complex exponents as
-    m^(a+ib) = m^a * e^{i b ln m} on the positive real m.
-    """
-    phi1, phi2 = phases
-    m2 = abs(z - ode.lam)
-    m1 = abs(z + ode.lam)
-    for mod, alpha in ((m2, exps.alpha_plus), (m1, exps.alpha_minus)):
-        if mod == 0.0:
-            if (alpha - 1.0).real < 0.0:
-                raise BranchPointEvaluation(
-                    "integrand evaluated at a branch point with divergent exponent"
-                )
-            return 0j
-    value = cmath.exp(
-        xi * z
-        + (exps.alpha_plus - 1.0) * (math.log(m2) + 1j * phi2)
-        + (exps.alpha_minus - 1.0) * (math.log(m1) + 1j * phi1)
-    )
-    return value * convention.reference_point_phase
+    """Single-valued integrand value at z with explicit winding angles."""
+    value = np.exp(log_integrand(ode, exps, xi, z, phases))
+    return complex(value * convention.reference_point_phase)

@@ -100,8 +100,8 @@ class ProblemSpec:
 
     def __post_init__(self):
         for name in ("mu", "omega", "a0", "morse_a", "morse_v0"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.l_quantum < 0:
             raise InvalidQuantumNumbers("l must be >= 0")
 
@@ -148,11 +148,13 @@ def canonicalize(spec: ProblemSpec, energy: float) -> CanonicalODE:
     """The (beta, delta, lambda) triple for this kind at this energy.
 
     Energy sign is policed: bound Coulomb/Morse need E < 0, the oscillator
-    rows accept E >= 0, continuum kinds need E > 0. The Hermite-route kind
-    has no triple (its kernel is quadratic-exponential, not of this family)
-    and is rejected here.
+    rows accept E >= 0, continuum kinds need E > 0, and E must be finite.
+    The Hermite-route kind has no triple (its kernel is quadratic-exponential,
+    not of this family) and is rejected here.
     """
     kind = spec.kind
+    if not math.isfinite(energy):
+        raise RegimeMismatch(f"energy must be finite, got {energy!r}")
     if kind is Kind.SHO1D_HERMITE:
         raise RegimeMismatch(
             "sho1d_hermite solves the derivative-form equation; no (beta, delta, lambda) triple exists"
@@ -387,10 +389,5 @@ def assemble_wavefunction(spec: ProblemSpec, qn_or_energy, coordinates):
     """
     from . import contour_eval  # late import; contour_eval depends on this module
 
-    if spec.kind in BOUND_KINDS:
-        method = contour_eval.Method.RESIDUE
-    elif spec.kind is Kind.MORSE_CONT:
-        method = contour_eval.Method.MORSE_RAY
-    else:
-        method = contour_eval.Method.REAL_INTEGRAL
+    method = contour_eval.ROUTES[spec.kind][0]
     return contour_eval.sample_wavefunction(spec, qn_or_energy, coordinates, method)

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .contour_eval import ContourConfig, Method, MethodRegimeMismatch, phi_values
+from .contour_eval import ROUTES, ContourConfig, Method, MethodRegimeMismatch, phi_values
 from .core_laplace import CanonicalODE
 from .potential_catalog import (
     BOUND_KINDS,
@@ -39,7 +39,10 @@ class ComparisonReport:
 
     Deviations are measured against the reference route (the real segment
     integral) and only where its magnitude exceeds a floor, so zero crossings
-    do not inflate the statistics.  failure_onset_xi[m] is the smallest grid
+    do not inflate the statistics.  pairwise_rel_dev[(a, b)] holds
+    |Phi_a - Phi_b| / |Phi_ref| at each grid point, NaN where the reference or
+    either value is unusable; pairwise_max_rel_dev is its maximum over all
+    pairs (0 when no point is usable).  failure_onset_xi[m] is the smallest grid
     xi at which route m deviates from the reference by more than 1e-3
     relative at three consecutive valid points, or None if it never does.
     """
@@ -48,6 +51,7 @@ class ComparisonReport:
     energy: float
     grid: Tuple[float, ...]
     values: Dict[Method, np.ndarray]
+    pairwise_rel_dev: Dict[Tuple[Method, Method], np.ndarray]
     pairwise_max_rel_dev: float
     failure_onset_xi: Dict[Method, Optional[float]]
     reference: Method = Method.REAL_INTEGRAL
@@ -89,7 +93,7 @@ def cross_method_report(
             "cross-method comparison needs a non-Morse continuum kind, "
             f"got {spec.kind.value}"
         )
-    methods = (Method.REAL_INTEGRAL, Method.CIRCLE, Method.SERIES)
+    methods = ROUTES[spec.kind]
     xi = np.asarray(list(grid), dtype=float)
     values: Dict[Method, np.ndarray] = {}
     for m in methods:
@@ -103,14 +107,17 @@ def cross_method_report(
 
     ref = values[Method.REAL_INTEGRAL]
     ok = np.isfinite(ref) & (np.abs(ref) > _REFERENCE_FLOOR)
-    worst = 0.0
+    deviations: Dict[Tuple[Method, Method], np.ndarray] = {}
     for i, a in enumerate(methods):
         for b in methods[i + 1 :]:
             va, vb = values[a], values[b]
             both = ok & np.isfinite(va) & np.isfinite(vb)
-            if np.any(both):
-                dev = np.abs(va[both] - vb[both]) / np.abs(ref[both])
-                worst = max(worst, float(np.max(dev)))
+            dev = np.full(xi.shape, np.nan)
+            dev[both] = np.abs(va[both] - vb[both]) / np.abs(ref[both])
+            deviations[(a, b)] = dev
+    stacked = np.stack(list(deviations.values()))
+    usable = stacked[~np.isnan(stacked)]
+    worst = float(np.max(usable)) if usable.size else 0.0
 
     onsets: Dict[Method, Optional[float]] = {Method.REAL_INTEGRAL: None}
     for m in (Method.CIRCLE, Method.SERIES):
@@ -121,6 +128,7 @@ def cross_method_report(
         energy=float(energy),
         grid=tuple(float(x) for x in xi),
         values=values,
+        pairwise_rel_dev=deviations,
         pairwise_max_rel_dev=worst,
         failure_onset_xi=onsets,
     )
@@ -131,16 +139,15 @@ def cross_method_report(
 
 
 def _residual_from_samples(
-    xi: np.ndarray,
     phi_minus: np.ndarray,
     phi_center: np.ndarray,
     phi_plus: np.ndarray,
-    beta: complex,
-    delta: float,
-    lam: complex,
+    a,
+    b,
+    c,
     h: float,
 ) -> float:
-    """Max relative defect of xi*Phi'' + beta*Phi' + (delta - lam^2 xi)*Phi.
+    """Max relative defect of a*Phi'' + b*Phi' + c*Phi (scalar or per-point a, b, c).
 
     Derivatives are centered differences at spacing h; the defect at each
     point is scaled by max(|Phi|, |Phi'|, |Phi''|) there.  An identically
@@ -148,27 +155,10 @@ def _residual_from_samples(
     """
     d1 = (phi_plus - phi_minus) / (2.0 * h)
     d2 = (phi_plus - 2.0 * phi_center + phi_minus) / (h * h)
-    resid = xi * d2 + beta * d1 + (delta - lam * lam * xi) * phi_center
+    resid = a * d2 + b * d1 + c * phi_center
     scale = np.maximum(
         np.abs(phi_center), np.maximum(np.abs(d1), np.abs(d2))
     )
-    scale = np.where(scale > 0.0, scale, 1.0)
-    return float(np.max(np.abs(resid) / scale))
-
-
-def _hermite_residual_from_samples(
-    xi: np.ndarray,
-    phi_minus: np.ndarray,
-    phi_center: np.ndarray,
-    phi_plus: np.ndarray,
-    energy_over_omega: float,
-    h: float,
-) -> float:
-    # Phi'' - 2 xi Phi' + (2E/omega - 1) Phi = 0 for the direct Hermite route
-    d1 = (phi_plus - phi_minus) / (2.0 * h)
-    d2 = (phi_plus - 2.0 * phi_center + phi_minus) / (h * h)
-    resid = d2 - 2.0 * xi * d1 + (2.0 * energy_over_omega - 1.0) * phi_center
-    scale = np.maximum(np.abs(phi_center), np.maximum(np.abs(d1), np.abs(d2)))
     scale = np.where(scale > 0.0, scale, 1.0)
     return float(np.max(np.abs(resid) / scale))
 
@@ -191,10 +181,9 @@ def ode_residual_sweep(
     forwarded to the route evaluator.
     """
     if isinstance(energy_or_qn, QuantumNumbers):
-        n = energy_or_qn.n
-        energy = _lattice_energy_for_n(spec, n)
+        energy = residue_lattice_energy(spec, energy_or_qn.n - n_start(spec))
     elif isinstance(energy_or_qn, (int, np.integer)) and spec.kind in BOUND_KINDS:
-        energy = _lattice_energy_for_n(spec, int(energy_or_qn))
+        energy = residue_lattice_energy(spec, int(energy_or_qn) - n_start(spec))
     else:
         energy = float(energy_or_qn)
 
@@ -205,19 +194,12 @@ def ode_residual_sweep(
     phi_minus, phi_center, phi_plus = phi[:m], phi[m : 2 * m], phi[2 * m :]
 
     if spec.kind is Kind.SHO1D_HERMITE:
-        return _hermite_residual_from_samples(
-            xi, phi_minus, phi_center, phi_plus, energy / spec.omega, h
-        )
-    ode: CanonicalODE = canonicalize(spec, energy)
-    return _residual_from_samples(
-        xi, phi_minus, phi_center, phi_plus, ode.beta, ode.delta, ode.lam, h
-    )
-
-
-def _lattice_energy_for_n(spec: ProblemSpec, n: int) -> float:
-    if spec.kind is Kind.SHO1D_HERMITE:
-        return bound_energy(spec, n)
-    return residue_lattice_energy(spec, n - n_start(spec))
+        # Phi'' - 2 xi Phi' + (2E/omega - 1) Phi = 0 for the direct Hermite route
+        coeffs = (1.0, -2.0 * xi, 2.0 * (energy / spec.omega) - 1.0)
+    else:
+        ode: CanonicalODE = canonicalize(spec, energy)
+        coeffs = (xi, ode.beta, ode.delta - ode.lam * ode.lam * xi)
+    return _residual_from_samples(phi_minus, phi_center, phi_plus, *coeffs, h)
 
 
 # ---------------------------------------------------------------------------

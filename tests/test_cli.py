@@ -210,10 +210,25 @@ class TestConfigHandling:
         assert "coulomb3d" in err
 
     def test_unknown_param_key(self, capsys):
-        code, _, err = run(capsys, "spectrum", "--kind", "morse",
-                           "--param", "depth=3")
+        for key in ("depth", "tol"):
+            code, _, err = run(capsys, "spectrum", "--kind", "morse",
+                               "--param", f"{key}=3")
+            assert code == 2
+            assert f"unknown parameter {key!r}" in err
+
+    @pytest.mark.parametrize("argv,key,value", [
+        (("validate", "--kind", "coulomb3d_cont", "--grid", "0.5,4,4"), "E", "inf"),
+        (("validate", "--kind", "coulomb3d_cont", "--grid", "0.5,4,4"), "E", "nan"),
+        (("spectrum", "--kind", "coulomb3d"), "mu", "nan"),
+        (("spectrum", "--kind", "morse"), "V0", "inf"),
+        (("wavefunction", "--kind", "morse_cont", "--param", "E=1",
+          "--grid=-1,1,3"), "a", "-inf"),
+    ])
+    def test_non_finite_param_rejected(self, capsys, argv, key, value):
+        code, out, err = run(capsys, *argv, "--param", f"{key}={value}")
         assert code == 2
-        assert "unknown parameter" in err
+        assert out == ""
+        assert f"bad value for {key}" in err
 
     def test_kind_required(self, capsys):
         code, _, err = run(capsys, "spectrum")
@@ -225,6 +240,9 @@ class TestConfigHandling:
             _parse_grid("1,2")
         with pytest.raises(ConfigError):
             _parse_grid("a,b,c")
+        for text in ("0,inf,3", "nan,1,3"):
+            with pytest.raises(ConfigError, match="finite"):
+                _parse_grid(text)
         assert _parse_grid("0.5,8,31") == (0.5, 8.0, 31)
 
     def test_argparse_exits_are_returned(self, capsys):

@@ -15,7 +15,6 @@ import pytest
 
 from laplaceqm.contour_eval import (
     ContourConfig,
-    ContourKind,
     Method,
     MethodRegimeMismatch,
     NonIntegerOrder,
@@ -28,7 +27,6 @@ from laplaceqm.contour_eval import (
     morse_continuum_phi,
     phase_phi1,
     phase_phi2,
-    phase_state,
     phi_values,
     sample_wavefunction,
 )
@@ -207,14 +205,9 @@ class TestCircle:
             ContourConfig(radius_R=1.0)
         with pytest.raises(ValueError):
             ContourConfig(steps=999)
-        with pytest.raises(ValueError):
-            ContourConfig(kind=ContourKind.REAL_SEGMENT, steps=1)
-        with pytest.raises(ValueError):
-            _, ode, exps = continuum_setup(Kind.FREE2D, 1.0)
-            continuum_phi_circle(
-                ode, exps, default_phase_convention(ode), 1.0,
-                ContourConfig(kind=ContourKind.REAL_SEGMENT, steps=64),
-            )
+        for radius in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                ContourConfig(radius_R=radius)
 
     def test_regime_guard(self):
         ode = canonicalize(ProblemSpec(kind=Kind.COULOMB3D), -0.5)
@@ -259,12 +252,6 @@ class TestPhaseSchedules:
         want2 = np.unwrap(np.angle(z - 1j)) + 0.5 * math.pi
         assert np.max(np.abs(phase_phi1(theta, r) - want1)) < 1e-10
         assert np.max(np.abs(phase_phi2(theta, r) - want2)) < 1e-10
-
-    def test_phase_state_bundle(self):
-        st = phase_state(1.0, 1.5)
-        assert st.theta == 1.0
-        assert st.phi1 == pytest.approx(phase_phi1(1.0, 1.5))
-        assert st.phi2 == pytest.approx(phase_phi2(1.0, 1.5))
 
 
 class TestMorseRay:
@@ -328,6 +315,16 @@ class TestPhiValuesDispatch:
         assert np.max(np.abs(circ - real) / np.abs(real)) < 1e-8
         assert np.max(np.abs(ser - real) / np.abs(real)) < 1e-9
 
+    def test_near_free_coulomb_is_not_degenerate(self):
+        # delta ~ 1.4e-13 is not the free case: every route must keep the
+        # edge combination, whose value is ~ -7.5e-13 i at xi = 1
+        spec = ProblemSpec(kind=Kind.COULOMB3D_CONT)
+        real = phi_values(spec, 1e26, [1.0], Method.REAL_INTEGRAL)[0]
+        assert abs(real) < 1e-11
+        for method in (Method.CIRCLE, Method.SERIES):
+            got = phi_values(spec, 1e26, [1.0], method)[0]
+            assert got == pytest.approx(real, rel=1e-2)
+
     def test_hermite_kind_takes_energy(self):
         spec = ProblemSpec(kind=Kind.SHO1D_HERMITE)
         got = phi_values(spec, 2.5, np.array([0.0]), Method.RESIDUE)  # n = 2
@@ -341,11 +338,11 @@ class TestSampleWavefunction:
         assert grid.energy == 2.0
         assert grid.method is Method.REAL_INTEGRAL
         assert grid.problem is spec
-        assert len(grid.entries) == 3
-        coord, xi, phi, psi = grid.entries[0]
-        assert coord == 0.25
-        assert xi == pytest.approx(2.0 * 0.25)  # k = 2
-        assert psi == pytest.approx(phi)  # l = 0 prefactor is 1
+        for samples in (grid.coordinates, grid.xi, grid.phi, grid.psi):
+            assert samples.shape == (3,)
+        assert grid.coordinates.tolist() == [0.25, 0.5, 1.0]
+        assert grid.xi == pytest.approx(2.0 * grid.coordinates)  # k = 2
+        assert grid.psi == pytest.approx(grid.phi)  # l = 0 prefactor is 1
 
     def test_bound_takes_label_not_energy(self):
         spec = ProblemSpec(kind=Kind.COULOMB3D)

@@ -51,6 +51,12 @@ class TestKindSets:
         # negative m is legitimate (azimuthal sign enters only as |m|)
         ProblemSpec(kind=Kind.SHO2D, m_quantum=-2)
 
+    @pytest.mark.parametrize("name", ["mu", "omega", "a0", "morse_a", "morse_v0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_spec_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ProblemSpec(kind=Kind.COULOMB3D, **{name: value})
+
 
 class TestCanonicalize:
     def test_sho_odd_row(self):
@@ -94,6 +100,11 @@ class TestCanonicalize:
         (Kind.COULOMB2D_CONT, -0.5),
         (Kind.COULOMB3D_CONT, 0.0),
         (Kind.MORSE_CONT, -1.0),
+        (Kind.COULOMB3D_CONT, math.inf),
+        (Kind.FREE3D, math.inf),
+        (Kind.COULOMB3D, -math.inf),
+        (Kind.SHO2D, math.nan),
+        (Kind.MORSE_CONT, math.nan),
     ])
     def test_energy_sign_policing(self, kind, bad_e):
         with pytest.raises(RegimeMismatch):
