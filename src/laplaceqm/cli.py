@@ -49,6 +49,10 @@ _METHOD_FLAGS = {
     "morse": Method.MORSE_RAY,
 }
 
+# rejected inputs raised below the CLI; like ConfigError they exit 2
+_INPUT_ERRORS = (RegimeMismatch, NotBoundProblem, InvalidQuantumNumbers, DomainError,
+                 MethodRegimeMismatch)
+
 _INT_PARAMS = {"n", "m", "l", "n_max"}
 _FLOAT_PARAMS = {"E", "V0", "a", "a0", "omega", "mu"}
 _PARAM_KEYS = _INT_PARAMS | _FLOAT_PARAMS
@@ -61,8 +65,8 @@ class RunConfig:
     params: Dict[str, float]
     method: Optional[Method] = None
     grid: Optional[Tuple[float, float, int]] = None
-    radius: float = 1.1
-    steps: int = 100_000
+    radius: Optional[float] = None  # None: the ContourConfig default
+    steps: Optional[int] = None
     out: Optional[str] = None
 
     def validate(self) -> None:
@@ -74,8 +78,8 @@ class RunConfig:
                 raise ConfigError("grid count must be at least 2")
             if not lo < hi:
                 raise ConfigError("grid min must be below grid max")
-        if self.method is Method.CIRCLE and not self.radius > 1.0:
-            raise ConfigError("circle method needs radius > 1")
+        if self.method is Method.CIRCLE:
+            self.contour()
 
     def problem(self) -> ProblemSpec:
         p = self.params
@@ -94,8 +98,9 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
     def contour(self) -> ContourConfig:
+        given = {"radius_R": self.radius, "steps": self.steps}
         try:
-            return ContourConfig(radius_R=self.radius, steps=self.steps)
+            return ContourConfig(**{k: v for k, v in given.items() if v is not None})
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -196,23 +201,19 @@ def cmd_wavefunction(cfg: RunConfig) -> str:
 
     coords = np.linspace(lo, hi, count)
     contour = cfg.contour()
-    rows: List[Tuple[Cell, ...]] = []
-    for i, x in enumerate(coords):
-        try:
-            grid = sample_wavefunction(spec, state, np.array([x]), method, contour)
-        except ConfigError:
-            raise
-        except (RegimeMismatch, NotBoundProblem, InvalidQuantumNumbers, DomainError) as exc:
-            raise ConfigError(str(exc)) from exc
-        except Exception as exc:
-            raise EvaluationFailure(
-                f"evaluation failed at point {i} (coordinate={x:.6g}): {exc}"
-            ) from exc
-        phi, psi = grid.phi[0], grid.psi[0]
-        rows.append(
-            (grid.coordinates[0], grid.xi[0], phi.real, phi.imag, psi.real, psi.imag,
-             method.value)
-        )
+    try:
+        grid = sample_wavefunction(spec, state, coords, method, contour)
+    except _INPUT_ERRORS:
+        raise
+    except Exception as exc:
+        i = getattr(exc, "point", 0)  # an error of the whole grid names point 0
+        raise EvaluationFailure(
+            f"evaluation failed at point {i} (coordinate={coords[i]:.6g}): {exc}"
+        ) from exc
+    rows = [
+        (x, xi, phi.real, phi.imag, psi.real, psi.imag, method.value)
+        for x, xi, phi, psi in zip(grid.coordinates, grid.xi, grid.phi, grid.psi)
+    ]
     return render_csv(
         ["coordinate", "xi", "re_phi", "im_phi", "re_psi", "im_psi", "method"], rows
     )
@@ -378,8 +379,8 @@ def _build_config(ns: argparse.Namespace) -> RunConfig:
     radius_text = pick("radius", "radius")
     steps_text = pick("steps", "steps")
     try:
-        radius = float(radius_text) if radius_text is not None else 1.1
-        steps = int(steps_text) if steps_text is not None else 100_000
+        radius = float(radius_text) if radius_text is not None else None
+        steps = int(steps_text) if steps_text is not None else None
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -413,11 +414,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = _build_config(ns)
         text = _COMMANDS[cfg.command](cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (RegimeMismatch, NotBoundProblem, InvalidQuantumNumbers, DomainError,
-            MethodRegimeMismatch) as exc:
+    except (ConfigError, *_INPUT_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EvaluationFailure as exc:

@@ -369,6 +369,21 @@ def _check_method(spec: catalog.ProblemSpec, method: Method):
         raise MethodRegimeMismatch(f"method {method.value} not valid for {spec.kind.value}")
 
 
+def _point_route(ode: CanonicalODE, exps: Exponents, method: Method,
+                 config: Optional[ContourConfig], tol: Optional[float]):
+    """The quadrature or series route as a function of one xi."""
+    if method is Method.CIRCLE:
+        conv = default_phase_convention(ode)
+        return lambda x: continuum_phi_circle(ode, exps, conv, x, config)
+    route = {
+        Method.REAL_INTEGRAL: continuum_phi_real_integral,
+        Method.SERIES: continuum_phi_series,
+        Method.MORSE_RAY: morse_continuum_phi,
+    }[method]
+    kw = {} if tol is None else {"tol": tol}
+    return lambda x: route(ode, exps, x, **kw)
+
+
 def phi_values(
     spec: catalog.ProblemSpec,
     energy: float,
@@ -377,28 +392,41 @@ def phi_values(
     config: Optional[ContourConfig] = None,
     tol: Optional[float] = None,
 ) -> np.ndarray:
-    """Phi(xi) on an array of xi values by the chosen method."""
+    """Phi(xi) on an array of xi values by the chosen method.
+
+    The one loop over grid points. The residue routes are closed forms
+    evaluated on the whole array; every other route is called once per xi,
+    in order. Evaluation stops at the first point that fails, and a
+    non-finite value is a failure (FloatingPointError naming the route and
+    xi). That point's exception propagates with its index in ``.point``.
+    """
     _check_method(spec, method)
     xs = np.asarray(xi_values, dtype=float)
+    route = None
     if spec.kind is catalog.Kind.SHO1D_HERMITE:
         n = round(energy / spec.omega - 0.5)
-        return np.asarray(hermite_phi_residue(n, xs), dtype=complex)
-    ode = catalog.canonicalize(spec, energy)
-    exps = exponents(ode)
-    if method is Method.RESIDUE:
-        N = round(-exps.alpha_minus.real)
-        return np.asarray(bound_phi_residue(ode, N, xs), dtype=complex)
-    kw = {} if tol is None else {"tol": tol}
-    if method is Method.REAL_INTEGRAL:
-        return np.array([continuum_phi_real_integral(ode, exps, x, **kw) for x in xs])
-    if method is Method.CIRCLE:
-        conv = default_phase_convention(ode)
-        return np.array(
-            [continuum_phi_circle(ode, exps, conv, x, config) for x in xs]
-        )
-    if method is Method.SERIES:
-        return np.array([continuum_phi_series(ode, exps, x, **kw) for x in xs])
-    return np.array([morse_continuum_phi(ode, exps, x, **kw) for x in xs])
+        values = np.asarray(hermite_phi_residue(n, xs), dtype=complex)
+    else:
+        ode = catalog.canonicalize(spec, energy)
+        exps = exponents(ode)
+        if method is Method.RESIDUE:
+            N = round(-exps.alpha_minus.real)
+            values = np.asarray(bound_phi_residue(ode, N, xs), dtype=complex)
+        else:
+            route = _point_route(ode, exps, method, config, tol)
+            values = np.empty(xs.shape, dtype=complex)
+    for i, x in enumerate(xs):
+        try:
+            if route is not None:
+                values[i] = route(x)
+            if not cmath.isfinite(values[i]):
+                raise FloatingPointError(
+                    f"{method.value} route gave {values[i]} at xi = {x:.6g}"
+                )
+        except Exception as exc:
+            exc.point = i
+            raise
+    return values
 
 
 def sample_wavefunction(

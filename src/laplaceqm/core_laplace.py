@@ -30,13 +30,6 @@ class Regime(enum.Enum):
     MORSE_CONTINUUM = "morse_continuum"
 
 
-class CutLayout(enum.Enum):
-    TWO_RAYS = "two_rays"
-    CENTRAL_SEGMENT = "central_segment"
-    SINGLE_RAY_POSITIVE = "single_ray_positive"
-    SINGLE_RAY_NEGATIVE = "single_ray_negative"
-
-
 @dataclass(frozen=True)
 class CanonicalODE:
     """The (beta, delta, lambda) triple of the canonical equation.
@@ -84,27 +77,6 @@ class PhaseConvention:
     """
 
     reference_point_phase: complex
-    cut_layout: CutLayout
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Ascending complex coefficients."""
-
-    coefficients: tuple
-
-    def __call__(self, z):
-        acc = 0j
-        for c in reversed(self.coefficients):
-            acc = acc * z + c
-        return acc
-
-
-def build_pq(ode: CanonicalODE):
-    """The kernel pair: P(z) = beta*z + delta, Q(z) = z^2 - lambda^2."""
-    p = Polynomial((complex(ode.delta), complex(ode.beta)))
-    q = Polynomial((-ode.lam * ode.lam, 0j, 1.0 + 0j))
-    return p, q
 
 
 def exponents(ode: CanonicalODE) -> Exponents:
@@ -119,32 +91,18 @@ def exponents(ode: CanonicalODE) -> Exponents:
 
 
 def default_phase_convention(ode: CanonicalODE) -> PhaseConvention:
-    """Reference phases at the conventional starting point of each layout.
+    """Reference phase of the continuum dog-bone around the segment [-lambda, lambda].
 
-    Continuum: dog-bone around the segment joining -lambda and +lambda,
-    reference point on its right edge at the origin, where both moduli are 1
-    and the factor phases combine to exp(-pi*delta/2). Bound problems cut
-    along two real rays; the Morse ray keeps a single cut on the positive
-    side. For those the reference is the principal-phase value at z = 0.
+    The reference point sits on the segment's right edge at the origin,
+    where both moduli are 1 and the factor phases combine to
+    exp(-pi*delta/2). Only the continuum circle route has a reference point.
     """
+    if ode.regime is not Regime.CONTINUUM:
+        raise ValueError("phase convention is defined for the continuum regime only")
     exps = exponents(ode)
-    if ode.regime is Regime.CONTINUUM:
-        return PhaseConvention(
-            reference_point_phase=cmath.exp(
-                0.5j * math.pi * (exps.alpha_minus - exps.alpha_plus)
-            ),
-            cut_layout=CutLayout.CENTRAL_SEGMENT,
-        )
-    layout = (
-        CutLayout.TWO_RAYS if ode.regime is Regime.BOUND else CutLayout.SINGLE_RAY_POSITIVE
+    return PhaseConvention(
+        reference_point_phase=cmath.exp(0.5j * math.pi * (exps.alpha_minus - exps.alpha_plus))
     )
-    # at z=0: |z -+ lambda| = |lambda|, arg(z - lambda) = pi, arg(z + lambda) = 0
-    mod = abs(ode.lam)
-    phase = cmath.exp(
-        (exps.alpha_plus - 1.0) * (math.log(mod) + 1j * math.pi)
-        + (exps.alpha_minus - 1.0) * math.log(mod)
-    )
-    return PhaseConvention(reference_point_phase=phase, cut_layout=layout)
 
 
 def degenerate_free(ode: CanonicalODE, exps: Exponents) -> bool:

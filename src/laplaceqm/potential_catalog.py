@@ -17,8 +17,6 @@ import numpy as np
 
 from .core_laplace import CanonicalODE, Regime, exponents
 
-HBAR = 1.0  # internal unit choice; all catalog formulas assume it
-
 
 class RegimeMismatch(ValueError):
     """Energy sign (or equation family) contradicts the requested kind."""
@@ -211,13 +209,6 @@ def canonicalize(spec: ProblemSpec, energy: float) -> CanonicalODE:
     raise ValueError(f"unhandled kind {kind}")
 
 
-def hermite_exponent(spec: ProblemSpec, energy: float) -> float:
-    """alpha = 1/2 - E/(hbar omega) of the derivative-form kernel."""
-    if spec.kind is not Kind.SHO1D_HERMITE:
-        raise RegimeMismatch("hermite exponent only defined for sho1d_hermite")
-    return 0.5 - energy / spec.omega
-
-
 class CoordinateMap:
     """Monotone physical-coordinate -> xi map plus the ansatz prefactor.
 
@@ -377,17 +368,3 @@ def quantization_check(spec: ProblemSpec, energy: float) -> Optional[QuantumNumb
     if abs(raw - N) > _QUANT_TOL * max(1.0, abs(raw)) or N < 0:
         return None
     return QuantumNumbers(n=N + n_start(spec), N=N)
-
-
-def assemble_wavefunction(spec: ProblemSpec, qn_or_energy, coordinates):
-    """Full (unnormalized) wavefunction psi = prefactor * Phi on a grid.
-
-    Bound kinds take quantum numbers, continuum kinds a positive energy.
-    Evaluation is delegated to the reference contour route of the regime:
-    residues for bound states, the real-segment integral for the continuum,
-    and the ray representation for the Morse continuum.
-    """
-    from . import contour_eval  # late import; contour_eval depends on this module
-
-    method = contour_eval.ROUTES[spec.kind][0]
-    return contour_eval.sample_wavefunction(spec, qn_or_energy, coordinates, method)

@@ -18,6 +18,7 @@ from .core_laplace import CanonicalODE
 from .potential_catalog import (
     BOUND_KINDS,
     CONTINUUM_KINDS,
+    InvalidQuantumNumbers,
     Kind,
     NotBoundProblem,
     ProblemSpec,
@@ -42,9 +43,10 @@ class ComparisonReport:
     do not inflate the statistics.  pairwise_rel_dev[(a, b)] holds
     |Phi_a - Phi_b| / |Phi_ref| at each grid point, NaN where the reference or
     either value is unusable; pairwise_max_rel_dev is its maximum over all
-    pairs (0 when no point is usable).  failure_onset_xi[m] is the smallest grid
-    xi at which route m deviates from the reference by more than 1e-3
-    relative at three consecutive valid points, or None if it never does.
+    pairs, NaN when no point is usable (a comparison of nothing shows no
+    agreement).  failure_onset_xi[m] is the smallest grid xi at which route m
+    deviates from the reference by more than 1e-3 relative at three
+    consecutive valid points, or None if it never does.
     """
 
     problem: ProblemSpec
@@ -117,7 +119,7 @@ def cross_method_report(
             deviations[(a, b)] = dev
     stacked = np.stack(list(deviations.values()))
     usable = stacked[~np.isnan(stacked)]
-    worst = float(np.max(usable)) if usable.size else 0.0
+    worst = float(np.max(usable)) if usable.size else math.nan
 
     onsets: Dict[Method, Optional[float]] = {Method.REAL_INTEGRAL: None}
     for m in (Method.CIRCLE, Method.SERIES):
@@ -221,7 +223,7 @@ def spectrum_table(
     for n in range(lo, max(n_max, lo - 1) + 1):
         try:
             e = bound_energy(spec, n)
-        except Exception:
+        except InvalidQuantumNumbers:
             break  # past the Morse well depth
         rows.append((QuantumNumbers(n=n, N=n - lo), e))
     return rows

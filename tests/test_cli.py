@@ -121,6 +121,24 @@ class TestWavefunctionCommand:
         assert code == 3
         assert "failed at point 0" in err
 
+    def test_method_of_another_regime_rejected(self, capsys):
+        code, out, err = run(capsys, "wavefunction", "--kind", "coulomb3d",
+                             "--method", "circle", "--grid", "0,5,3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: method circle not valid for coulomb3d\n"
+
+    @pytest.mark.filterwarnings("ignore::laplaceqm.contour_eval.PrecisionLoss")
+    def test_non_finite_value_is_a_failed_point(self, capsys):
+        # R*xi = 1.1 * 707 overflows the circle sum: no NaN rows with exit 0
+        code, out, err = run(capsys, "wavefunction", "--kind", "coulomb3d_cont",
+                             "--param", "E=1", "--method", "circle",
+                             "--grid", "0,1000,3")
+        assert code == 3
+        assert out == ""
+        assert "failed at point 1 (coordinate=500)" in err
+        assert "circle route" in err
+
     def test_bad_circle_radius(self, capsys):
         code, _, err = run(capsys, "wavefunction", "--kind", "coulomb3d_cont",
                            "--param", "E=1", "--method", "circle",
@@ -145,6 +163,15 @@ class TestValidateCommand:
         assert any(f.startswith("pairwise_max_rel_dev") for f in footers)
         assert sum(f.startswith("failure_onset_") for f in footers) == 3
         assert all(f.endswith("none") for f in footers if "onset" in f)
+
+    def test_no_usable_point_footer_reads_nan(self, capsys):
+        # every |Phi_ref| ~ 1e-13 is below the reference floor: nothing compared
+        code, out, _ = run(capsys, "validate", "--kind", "coulomb3d_cont",
+                           "--param", "E=1e26", "--grid", "0.5,4,3")
+        assert code == 0
+        _, rows, footers = read_csv(out)
+        assert all(math.isnan(v) for r in rows for v in r[-3:])
+        assert "pairwise_max_rel_dev = nan" in footers
 
     def test_grid_required(self, capsys):
         code, _, err = run(capsys, "validate", "--kind", "free3d", "--param", "E=1")

@@ -37,7 +37,7 @@ from laplaceqm.potential_catalog import (
     canonicalize,
     residue_lattice_energy,
 )
-from laplaceqm.special_fn import laguerre
+from laplaceqm.special_fn import SeriesDivergence, laguerre
 
 
 def continuum_setup(kind: Kind, energy: float, **params):
@@ -211,8 +211,10 @@ class TestCircle:
 
     def test_regime_guard(self):
         ode = canonicalize(ProblemSpec(kind=Kind.COULOMB3D), -0.5)
+        # a bound ODE has no phase convention of its own; borrow a continuum one
+        conv = default_phase_convention(canonicalize(ProblemSpec(kind=Kind.COULOMB3D_CONT), 1.0))
         with pytest.raises(MethodRegimeMismatch):
-            continuum_phi_circle(ode, exponents(ode), default_phase_convention(ode), 1.0)
+            continuum_phi_circle(ode, exponents(ode), conv, 1.0)
 
 
 class TestPhaseSchedules:
@@ -324,6 +326,32 @@ class TestPhiValuesDispatch:
         for method in (Method.CIRCLE, Method.SERIES):
             got = phi_values(spec, 1e26, [1.0], method)[0]
             assert got == pytest.approx(real, rel=1e-2)
+
+    @pytest.mark.filterwarnings("ignore::laplaceqm.contour_eval.PrecisionLoss")
+    def test_first_failing_point_stops_the_grid(self, monkeypatch):
+        import laplaceqm.contour_eval as ce
+
+        seen = []
+
+        def counted(ode, exps, xi, **kw):
+            seen.append(xi)
+            return series(ode, exps, xi, **kw)
+
+        series = ce.continuum_phi_series
+        monkeypatch.setattr(ce, "continuum_phi_series", counted)
+        spec = ProblemSpec(kind=Kind.COULOMB3D_CONT)
+        with pytest.raises(SeriesDivergence) as info:
+            phi_values(spec, 1.0, [1.0, 2000.0, 2.0], Method.SERIES)
+        assert info.value.point == 1
+        assert seen == [1.0, 2000.0]
+
+    @pytest.mark.filterwarnings("ignore::laplaceqm.contour_eval.PrecisionLoss")
+    def test_non_finite_value_fails_its_point(self):
+        # R*xi = 1.1 * 1000 overflows the circle sum to NaN
+        spec = ProblemSpec(kind=Kind.COULOMB3D_CONT)
+        with pytest.raises(FloatingPointError, match="circle route .* xi = 1000") as info:
+            phi_values(spec, 1.0, [1.0, 1000.0], Method.CIRCLE)
+        assert info.value.point == 1
 
     def test_hermite_kind_takes_energy(self):
         spec = ProblemSpec(kind=Kind.SHO1D_HERMITE)

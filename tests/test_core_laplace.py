@@ -11,12 +11,9 @@ from hypothesis import given, settings, strategies as st
 from laplaceqm.core_laplace import (
     BranchPointEvaluation,
     CanonicalODE,
-    CutLayout,
     DegenerateLambda,
     Exponents,
-    Polynomial,
     Regime,
-    build_pq,
     default_phase_convention,
     exponents,
     integrand,
@@ -67,24 +64,35 @@ class TestCanonicalODE:
             ode.delta = 1.0
 
 
+def kernel_pair_defect(ode: CanonicalODE, z: complex) -> complex:
+    """P(z) - Q(z) (a+/(z - lambda) + a-/(z + lambda)) for P = beta z + delta, Q = z^2 - lambda^2."""
+    exps = exponents(ode)
+    p = ode.beta * z + ode.delta
+    q = z * z - ode.lam * ode.lam
+    return p - q * (exps.alpha_plus / (z - ode.lam) + exps.alpha_minus / (z + ode.lam))
+
+
 class TestBuildPQ:
+    """The kernel pair P = beta z + delta, Q = z^2 - lambda^2 as the exponents encode it:
+    P/Q has simple poles at +-lambda with residues alpha_+-."""
+
     def test_sho_even_row(self):
-        # beta=1/2, delta=1/4, lambda=1/2: P = z/2 + 1/4, Q = z^2 - 1/4
-        p, q = build_pq(bound_ode(0.5, 0.25, 0.5))
-        assert p.coefficients == (0.25 + 0j, 0.5 + 0j)
-        assert q.coefficients == (-0.25 + 0j, 0j, 1 + 0j)
+        # beta=1/2, delta=1/4, lambda=1/2: P/Q = (z/2 + 1/4)/(z^2 - 1/4) = (1/2)/(z - 1/2)
+        exps = exponents(bound_ode(0.5, 0.25, 0.5))
+        assert exps.alpha_plus == pytest.approx(0.5, abs=1e-15)
+        assert exps.alpha_minus == pytest.approx(0.0, abs=1e-15)
 
     def test_free_3d_row(self):
-        p, q = build_pq(continuum_ode(2.0, 0.0))
-        assert p.coefficients == (0j, 2 + 0j)
-        assert q.coefficients == (1 + 0j, 0j, 1 + 0j)
+        # beta=2, delta=0, lambda=i: P/Q = 2z/(z^2 + 1) = 1/(z - i) + 1/(z + i)
+        exps = exponents(continuum_ode(2.0, 0.0))
+        assert exps.alpha_plus == pytest.approx(1.0, abs=1e-15)
+        assert exps.alpha_minus == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_p(self):
-        ode = bound_ode(0.0, 0.0, 1.0)
         # beta = 0 bound is synthetic but well-formed; P collapses to zero
-        p, q = build_pq(ode)
-        assert p(3.7) == 0j
-        assert q.coefficients == (-1 + 0j, 0j, 1 + 0j)
+        exps = exponents(bound_ode(0.0, 0.0, 1.0))
+        assert exps.alpha_plus == 0j
+        assert exps.alpha_minus == 0j
 
     @pytest.mark.parametrize("make", [
         lambda: bound_ode(0.5, 0.25, 0.5),
@@ -93,12 +101,8 @@ class TestBuildPQ:
     ])
     def test_q_roots_are_pm_lambda(self, make):
         ode = make()
-        _, q = build_pq(ode)
-        assert abs(q(ode.lam)) < 1e-14
-        assert abs(q(-ode.lam)) < 1e-14
-
-    def test_polynomial_horner(self):
-        assert Polynomial((1 + 0j, 2 + 0j, 3 + 0j))(2.0) == 17 + 0j
+        for z in (0.3 + 0.7j, -1.9 + 0.1j, 2.4 - 1.2j):
+            assert abs(kernel_pair_defect(ode, z)) < 1e-13
 
 
 class TestExponents:
@@ -166,22 +170,17 @@ class TestPhaseConvention:
     def test_continuum_reference_value(self):
         delta = 1.2
         conv = default_phase_convention(continuum_ode(3.0, delta))
-        assert conv.cut_layout is CutLayout.CENTRAL_SEGMENT
         assert conv.reference_point_phase == pytest.approx(
             math.exp(-0.5 * math.pi * delta), rel=1e-12
         )
 
-    def test_bound_layout_and_value(self):
-        conv = default_phase_convention(bound_ode(0.5, 0.25, 0.5))
-        assert conv.cut_layout is CutLayout.TWO_RAYS
-        # a+ = 1/2, a- = 0 at these parameters: value is 2*sqrt(2)*e^{-i pi/2}
-        assert conv.reference_point_phase == pytest.approx(
-            -2.0 * math.sqrt(2.0) * 1j, rel=1e-12
-        )
+    def test_bound_regime_rejected(self):
+        with pytest.raises(ValueError, match="continuum"):
+            default_phase_convention(bound_ode(0.5, 0.25, 0.5))
 
-    def test_morse_layout(self):
-        conv = default_phase_convention(morse_ode(1.5, 2.0))
-        assert conv.cut_layout is CutLayout.SINGLE_RAY_POSITIVE
+    def test_morse_regime_rejected(self):
+        with pytest.raises(ValueError, match="continuum"):
+            default_phase_convention(morse_ode(1.5, 2.0))
 
 
 class TestIntegrand:

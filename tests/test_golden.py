@@ -1,6 +1,7 @@
 """CLI outputs against frozen CSV files in tests/golden.
 
-Covers the README command-line examples plus a Coulomb-continuum validate run.
+Covers the README command-line examples, a Coulomb-continuum validate run, and
+one whole-grid wavefunction each for the Laguerre residue and the Morse ray.
 Headers, text cells and footer keys must match exactly; numeric cells (and
 numeric footer values) within 1e-10 relative with a 1e-13 absolute floor, so a
 different libm passes while a change in any formula or order of operations
@@ -23,6 +24,12 @@ CASES = {
     "wavefunction_coulomb3d_cont_circle.csv": [
         "wavefunction", "--kind", "coulomb3d_cont", "--param", "E=1", "--method", "circle",
         "--radius", "1.1", "--steps", "100000", "--grid", "0,10,21"],
+    "wavefunction_coulomb3d_residue.csv": [
+        "wavefunction", "--kind", "coulomb3d", "--param", "l=1", "--param", "n=3",
+        "--grid", "0,40,201"],
+    "wavefunction_morse_cont_ray.csv": [
+        "wavefunction", "--kind", "morse_cont", "--param", "E=1", "--param", "V0=1.2",
+        "--grid=-1.5,3.5,41"],
     "validate_free3d.csv": ["validate", "--kind", "free3d", "--param", "E=1",
                             "--grid", "0.5,10,20"],
     "validate_coulomb3d_cont.csv": ["validate", "--kind", "coulomb3d_cont", "--param", "E=1",

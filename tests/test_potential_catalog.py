@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from laplaceqm.contour_eval import ROUTES, sample_wavefunction
 from laplaceqm.core_laplace import Regime, exponents
 from laplaceqm.potential_catalog import (
     BOUND_KINDS,
@@ -18,11 +19,9 @@ from laplaceqm.potential_catalog import (
     ProblemSpec,
     QuantumNumbers,
     RegimeMismatch,
-    assemble_wavefunction,
     bound_energy,
     canonicalize,
     coordinate_map,
-    hermite_exponent,
     morse_delta,
     n_start,
     quantization_check,
@@ -113,12 +112,6 @@ class TestCanonicalize:
     def test_hermite_kind_has_no_triple(self):
         with pytest.raises(RegimeMismatch):
             canonicalize(ProblemSpec(kind=Kind.SHO1D_HERMITE), 0.5)
-
-    def test_hermite_exponent(self):
-        spec = ProblemSpec(kind=Kind.SHO1D_HERMITE, omega=2.0)
-        assert hermite_exponent(spec, 2.0 * 3.5) == pytest.approx(-3.0)
-        with pytest.raises(RegimeMismatch):
-            hermite_exponent(ProblemSpec(kind=Kind.SHO1D_EVEN), 1.0)
 
 
 # closed forms of alpha_minus per bound kind, written independently of the
@@ -326,6 +319,11 @@ class TestCoordinateMap:
         assert np.allclose(c3d.prefactor(rho), rho)
         mc = coordinate_map(ProblemSpec(kind=Kind.MORSE_CONT, morse_v0=2.0), 2.0)
         assert np.allclose(np.abs(mc.prefactor(np.array([0.0, 1.0, 4.0]))), 1.0)
+
+
+def assemble_wavefunction(spec, qn_or_energy, coordinates):
+    """psi = prefactor * Phi by the kind's default (reference) route."""
+    return sample_wavefunction(spec, qn_or_energy, coordinates, ROUTES[spec.kind][0])
 
 
 class TestAssembleWavefunction:

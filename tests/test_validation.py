@@ -109,6 +109,14 @@ class TestCrossMethodReport:
                                      cfg=ContourConfig(radius_R=1.3))
         assert report.pairwise_max_rel_dev < 1e-6
 
+    def test_no_usable_point_is_not_agreement(self):
+        # |Phi_ref| ~ 1e-13 stays below the 1e-12 floor at every point
+        report = cross_method_report(ProblemSpec(kind=Kind.COULOMB3D_CONT), 1e26,
+                                     [0.5, 2.25, 4.0])
+        assert all(np.isfinite(v).all() for v in report.values.values())
+        assert all(np.isnan(dev).all() for dev in report.pairwise_rel_dev.values())
+        assert math.isnan(report.pairwise_max_rel_dev)
+
     def test_rejects_non_continuum_kinds(self):
         with pytest.raises(MethodRegimeMismatch):
             cross_method_report(ProblemSpec(kind=Kind.SHO2D), 1.0, [1.0])
@@ -193,6 +201,14 @@ class TestSpectrumTable:
         with pytest.raises(NotBoundProblem):
             spectrum_table(ProblemSpec(kind=Kind.FREE2D), 3)
 
+    def test_only_the_well_depth_ends_the_table(self, monkeypatch):
+        def broken(spec, n):
+            raise RuntimeError("not a quantum-number error")
+
+        monkeypatch.setattr("laplaceqm.validation.bound_energy", broken)
+        with pytest.raises(RuntimeError, match="not a quantum-number error"):
+            spectrum_table(ProblemSpec(kind=Kind.MORSE, morse_v0=3.125), 10)
+
     @pytest.mark.parametrize("kind", sorted(BOUND_KINDS, key=lambda k: k.value))
     def test_monotone_increasing(self, kind):
         spec = ProblemSpec(kind=kind, mu=1.3, omega=0.7, a0=1.1,
@@ -234,10 +250,10 @@ class TestPhysicalOracles:
         assert np.max(np.abs(ratio / ratio[0] - 1.0)) < 1e-8
 
     def test_hydrogen_tail_with_rescaled_bohr_radius(self):
-        from laplaceqm.potential_catalog import assemble_wavefunction
+        from laplaceqm.contour_eval import sample_wavefunction
 
         spec = ProblemSpec(kind=Kind.COULOMB3D, a0=2.0)
         r = np.array([0.5, 1.0, 2.5, 4.0, 7.0])
-        grid = assemble_wavefunction(spec, 1, r)
+        grid = sample_wavefunction(spec, 1, r, Method.RESIDUE)
         ratio = grid.psi / np.exp(-r / 2.0)
         assert np.max(np.abs(ratio / ratio[0] - 1.0)) < 1e-9
