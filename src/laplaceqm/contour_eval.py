@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from .core_laplace import (
     default_phase_convention,
     degenerate_free,
     exponents,
-    log_integrand,
+    log_terms,
 )
 from .special_fn import (
     _adaptive_gauss,
@@ -249,6 +250,32 @@ def phase_phi2(theta, radius):
 _PRECISION_EXPONENT_LIMIT = 700.0
 
 
+@functools.lru_cache(maxsize=1)
+def _circle_terms(ode: CanonicalODE, exps: Exponents, radius_R: float, steps: int):
+    """The xi-independent arrays of the circle rule, read-only.
+
+    (z, t_plus, t_minus): the nodes and the two log_terms at the tracked
+    winding phases; in the degenerate free case (y, (1 - y^2)^power,
+    weights) of the straight segment instead.  One entry suffices because
+    a grid's points are evaluated back to back with the same key.
+    """
+    if degenerate_free(ode, exps):
+        # here alpha_+- are the same integer, so the moduli combine exactly
+        power = int(round(exps.alpha_plus.real)) - 1
+        y, h = np.linspace(-1.0, 1.0, steps + 1, retstep=True)
+        weights = np.full(steps + 1, h, dtype=float)
+        weights[0] = weights[-1] = 0.5 * h
+        terms = (y, (1.0 - y * y) ** power, weights)
+    else:
+        theta = np.linspace(0.0, 2.0 * math.pi, steps, endpoint=False)
+        z = radius_R * np.exp(1j * (theta + 0.5 * math.pi))
+        phases = (phase_phi1(theta, radius_R), phase_phi2(theta, radius_R))
+        terms = (z, *log_terms(ode, exps, z, phases)[:2])
+    for a in terms:
+        a.flags.writeable = False
+    return terms
+
+
 def continuum_phi_circle(
     ode: CanonicalODE,
     exps: Exponents,
@@ -264,6 +291,8 @@ def continuum_phi_circle(
     case the closed loop encloses nothing and vanishes identically, so the
     rule integrates straight across the branch-point segment instead; that
     value is what the closed contour degenerates to and is independent of R.
+    Only the factor e^{xi z} is computed per call; the rest comes from
+    _circle_terms, built once per (ode, R, steps).
     """
     if ode.regime is not Regime.CONTINUUM:
         raise MethodRegimeMismatch("circle rule applies to the continuum regime")
@@ -277,17 +306,12 @@ def continuum_phi_circle(
             stacklevel=2,
         )
     if degenerate_free(ode, exps):
-        # here alpha_+- are the same integer, so the moduli combine exactly
-        power = int(round(exps.alpha_plus.real)) - 1
-        y, h = np.linspace(-1.0, 1.0, n + 1, retstep=True)
-        vals = np.exp(1j * xi * y) * (1.0 - y * y) ** power
-        weights = np.full(n + 1, h, dtype=float)
-        weights[0] = weights[-1] = 0.5 * h
+        y, moduli, weights = _circle_terms(ode, exps, r, n)
+        vals = np.exp(1j * xi * y) * moduli
         return 1j * complex(np.sum(weights * vals))
-    theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    z = r * np.exp(1j * (theta + 0.5 * math.pi))
-    logf = log_integrand(ode, exps, xi, z, (phase_phi1(theta, r), phase_phi2(theta, r)))
+    z, t_plus, t_minus = _circle_terms(ode, exps, r, n)
     with np.errstate(over="ignore", invalid="ignore"):
+        logf = xi * z + t_plus + t_minus
         summand = 1j * z * np.exp(logf)
         total = np.sum(summand) * (2.0 * math.pi / n)
     return complex(total * convention.reference_point_phase)

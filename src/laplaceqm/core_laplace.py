@@ -117,14 +117,17 @@ def degenerate_free(ode: CanonicalODE, exps: Exponents) -> bool:
     return ode.delta == 0.0 and abs(re_ap - round(re_ap)) < 1e-9
 
 
-def log_integrand(ode: CanonicalODE, exps: Exponents, xi: float, z, phases=(0.0, 0.0)):
-    """log of the integrand without its reference phase, elementwise over z.
+def log_terms(ode: CanonicalODE, exps: Exponents, z, phases=(0.0, 0.0)):
+    """The two xi-independent log terms of the integrand, elementwise over z.
 
-    phases = (phi1, phi2) are winding angles accumulated from the reference
-    point: phi1 multiplies the (z + lambda) factor, phi2 the (z - lambda)
-    one. Moduli are raised to the full complex exponents as
-    m^(a+ib) = m^a * e^{i b ln m} on the positive real m.  At a branch point
-    the log is -inf where the factor vanishes; a divergent factor raises.
+    Returns (t_plus, t_minus, at_branch) with
+    t_plus = (alpha_+ - 1)(ln|z - lambda| + i phi2) and
+    t_minus = (alpha_- - 1)(ln|z + lambda| + i phi1), where phases =
+    (phi1, phi2) are winding angles accumulated from the reference point.
+    Moduli are raised to the full complex exponents as
+    m^(a+ib) = m^a * e^{i b ln m} on the positive real m.  at_branch marks
+    the z where a factor vanishes, whose terms are not meaningful; a
+    divergent factor there raises.
     """
     phi1, phi2 = phases
     z = np.asarray(z, dtype=complex)
@@ -137,11 +140,21 @@ def log_integrand(ode: CanonicalODE, exps: Exponents, xi: float, z, phases=(0.0,
                 "integrand evaluated at a branch point with divergent exponent"
             )
     with np.errstate(divide="ignore", invalid="ignore"):
-        logf = (
-            xi * z
-            + (exps.alpha_plus - 1.0) * (np.log(m2) + 1j * phi2)
-            + (exps.alpha_minus - 1.0) * (np.log(m1) + 1j * phi1)
-        )
+        t_plus = (exps.alpha_plus - 1.0) * (np.log(m2) + 1j * phi2)
+        t_minus = (exps.alpha_minus - 1.0) * (np.log(m1) + 1j * phi1)
+    return t_plus, t_minus, at_branch
+
+
+def log_integrand(ode: CanonicalODE, exps: Exponents, xi: float, z, phases=(0.0, 0.0)):
+    """log of the integrand without its reference phase, elementwise over z.
+
+    xi * z plus the two log_terms, added in that order.  At a branch point
+    the log is -inf where the factor vanishes; a divergent factor raises.
+    """
+    z = np.asarray(z, dtype=complex)
+    t_plus, t_minus, at_branch = log_terms(ode, exps, z, phases)
+    with np.errstate(invalid="ignore"):
+        logf = xi * z + t_plus + t_minus
     return np.where(at_branch, -np.inf, logf)
 
 
