@@ -70,6 +70,15 @@ class RunConfig:
     out: Optional[str] = None
 
     def validate(self) -> None:
+        ignored = {
+            "spectrum": ("method", "radius", "steps", "grid"),
+            "validate": ("method",),
+            "wavefunction": () if self.method is Method.CIRCLE else ("radius", "steps"),
+        }[self.command]
+        for name in ignored:
+            if getattr(self, name) is not None:
+                where = " without --method circle" if self.command == "wavefunction" else ""
+                raise ConfigError(f"{self.command} does not use --{name}{where}")
         if self.command in ("wavefunction", "validate"):
             if self.grid is None:
                 raise ConfigError(f"{self.command} needs --grid min,max,count")

@@ -148,27 +148,38 @@ def hermite_phi_residue(n: int, xi):
 # ---------------------------------------------------------------------------
 # Continuum: real segment integral
 
+def _integer_re_alpha_plus(exps: Exponents) -> bool:
+    """True for an integer Re(alpha_plus), False for a half-odd one.
+
+    These are the two cases where e^{2 pi i Re(alpha_plus)} = +-1 exactly,
+    which the edge factor and the monodromy use in closed form; any other
+    Re(alpha_plus) raises.
+    """
+    re_ap = exps.alpha_plus.real
+    if abs(re_ap - round(re_ap)) < 1e-9:
+        return True
+    if abs(2.0 * re_ap - round(2.0 * re_ap)) < 1e-9:
+        return False
+    raise MethodRegimeMismatch(
+        f"edge combination undefined for Re(alpha_plus) = {re_ap:.6g}"
+    )
+
+
 def _bracket_coefficient(ode: CanonicalODE, exps: Exponents) -> complex:
     """Edge-combination factor i(e^{-pi delta/2} -+ e^{pi delta/2}).
 
-    Minus sign when Re(alpha_plus) is an integer, plus when half-odd. In the
-    degenerate free case the bracket vanishes identically: the two edges
-    cancel, so the open segment between the branch points is used instead
-    with unit coefficient.
+    Minus sign when Re(alpha_plus) is an integer, plus when half-odd, taken
+    as -2i sinh(pi delta/2) and 2i cosh(pi delta/2) so a tiny delta keeps
+    its digits. In the degenerate free case the bracket vanishes
+    identically: the two edges cancel, so the open segment between the
+    branch points is used instead with unit coefficient.
     """
     if degenerate_free(ode, exps):
         return 1j
-    re_ap = exps.alpha_plus.real
-    if abs(re_ap - round(re_ap)) < 1e-9:
-        sign = -1.0
-    elif abs(2.0 * re_ap - round(2.0 * re_ap)) < 1e-9:
-        sign = 1.0
-    else:
-        raise MethodRegimeMismatch(
-            f"edge combination undefined for Re(alpha_plus) = {re_ap:.6g}"
-        )
     half = 0.5 * math.pi * ode.delta
-    return 1j * (math.exp(-half) + sign * math.exp(half))
+    if _integer_re_alpha_plus(exps):
+        return -2j * math.sinh(half)
+    return 2j * math.cosh(half)
 
 
 def continuum_phi_real_integral(
@@ -332,7 +343,10 @@ def continuum_phi_series(
     -2 pi i e^{-pi delta/2} (e^{2 pi i alpha_plus} - 1)/(4 pi) 2^beta
     * Gamma(alpha_plus)Gamma(alpha_minus)/Gamma(beta) e^{-i xi}
     * M(alpha_minus, beta, 2 i xi), identical to the segment result. The
-    monodromy factor vanishes in the degenerate free case, where the same
+    monodromy e^{2 pi i alpha_plus} - 1 is taken as expm1(-2 pi Im alpha_plus)
+    for an integer Re(alpha_plus) and -e^{-2 pi Im alpha_plus} - 1 for a
+    half-odd one, so a tiny delta keeps its digits. The monodromy factor
+    vanishes in the degenerate free case, where the same
     unit-coefficient segment convention as the other routes applies.
     """
     if ode.regime is not Regime.CONTINUUM:
@@ -350,11 +364,16 @@ def continuum_phi_series(
     if degenerate_free(ode, exps):
         pref = 1j * cmath.exp((beta - 1.0) * math.log(2.0))
     else:
+        damp = -2.0 * math.pi * ap.imag
+        if _integer_re_alpha_plus(exps):
+            monodromy = math.expm1(damp)
+        else:
+            monodromy = -math.exp(damp) - 1.0
         pref = (
             -2j
             * math.pi
             * math.exp(-0.5 * math.pi * ode.delta)
-            * (cmath.exp(2j * math.pi * ap) - 1.0)
+            * monodromy
             / (4.0 * math.pi)
             * cmath.exp(beta * math.log(2.0))
         )

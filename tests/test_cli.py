@@ -6,6 +6,7 @@ import subprocess
 
 import pytest
 
+import laplaceqm.contour_eval as ce
 from laplaceqm.cli import (
     ConfigError,
     _format_cell,
@@ -147,6 +148,27 @@ class TestWavefunctionCommand:
         assert "radius" in err
 
 
+class TestCircleMemo:
+    @pytest.mark.parametrize("argv", [
+        ("validate", "--kind", "coulomb3d_cont", "--param", "E=1", "--grid", "0.5,12,12"),
+        ("wavefunction", "--kind", "coulomb3d_cont", "--param", "E=1",
+         "--method", "circle", "--grid", "0,10,21"),
+    ])
+    def test_nodes_built_once_per_grid(self, capsys, monkeypatch, argv):
+        built = []
+        original = ce.phase_phi1
+
+        def counted(theta, radius):
+            built.append(radius)
+            return original(theta, radius)
+
+        monkeypatch.setattr(ce, "phase_phi1", counted)
+        ce._circle_terms.cache_clear()
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(built) == 1
+
+
 class TestValidateCommand:
     def test_agreement_report(self, capsys):
         code, out, _ = run(capsys, "validate", "--kind", "free3d",
@@ -256,6 +278,24 @@ class TestConfigHandling:
         assert code == 2
         assert out == ""
         assert f"bad value for {key}" in err
+
+    @pytest.mark.parametrize("argv,option", [
+        (("spectrum", "--kind", "coulomb3d", "--method", "series"), "--method"),
+        (("spectrum", "--kind", "coulomb3d", "--radius", "1.5"), "--radius"),
+        (("spectrum", "--kind", "coulomb3d", "--steps", "5000"), "--steps"),
+        (("spectrum", "--kind", "coulomb3d", "--grid", "0,1,3"), "--grid"),
+        (("validate", "--kind", "free3d", "--param", "E=1", "--method", "morse",
+          "--grid", "1,2,2"), "--method"),
+        (("wavefunction", "--kind", "coulomb3d_cont", "--param", "E=1",
+          "--radius", "1.5", "--grid", "1,2,2"), "--radius"),
+        (("wavefunction", "--kind", "coulomb3d_cont", "--param", "E=1",
+          "--method", "series", "--steps", "5000", "--grid", "1,2,2"), "--steps"),
+    ])
+    def test_ignored_option_rejected(self, capsys, argv, option):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {argv[0]} does not use {option}")
 
     def test_kind_required(self, capsys):
         code, _, err = run(capsys, "spectrum")

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+import laplaceqm.contour_eval as ce
 from laplaceqm.contour_eval import (
     ContourConfig,
     Method,
@@ -209,6 +210,33 @@ class TestCircle:
             with pytest.raises(ValueError):
                 ContourConfig(radius_R=radius)
 
+    def test_memo_keying_is_bit_exact(self):
+        # interleaved energies, radii and the degenerate free branch must each
+        # read exactly what a cold memo gives for the same call
+        states = ((Kind.COULOMB3D_CONT, 0.7), (Kind.COULOMB3D_CONT, 2.0), (Kind.FREE3D, 2.0))
+        keys = [(kind, e, r) for r in (1.1, 1.6) for kind, e in states]
+
+        def phi(kind, energy, radius, xi):
+            _, ode, exps = continuum_setup(kind, energy)
+            cfg = ContourConfig(radius_R=radius, steps=2000)
+            return continuum_phi_circle(ode, exps, default_phase_convention(ode), xi, cfg)
+
+        cold = {}
+        for key in keys:
+            for xi in (0.5, 3.0):
+                ce._circle_terms.cache_clear()
+                cold[key, xi] = phi(*key, xi)
+        for key in keys + keys[::-1]:
+            for xi in (0.5, 3.0, 0.5):
+                assert phi(*key, xi) == cold[key, xi]
+
+    def test_memo_arrays_are_read_only(self):
+        for kind in (Kind.COULOMB3D_CONT, Kind.FREE3D):
+            _, ode, exps = continuum_setup(kind, 1.0)
+            for array in ce._circle_terms(ode, exps, 1.1, 1000):
+                with pytest.raises(ValueError):
+                    array[0] = 0.0
+
     def test_regime_guard(self):
         ode = canonicalize(ProblemSpec(kind=Kind.COULOMB3D), -0.5)
         # a bound ODE has no phase convention of its own; borrow a continuum one
@@ -326,6 +354,17 @@ class TestPhiValuesDispatch:
         for method in (Method.CIRCLE, Method.SERIES):
             got = phi_values(spec, 1e26, [1.0], method)[0]
             assert got == pytest.approx(real, rel=1e-2)
+
+    def test_free_limit_keeps_its_digits(self):
+        # Phi ~ delta ~ E^(-1/2): the edge factor must not round to 0 (it did
+        # at E = 1e34) nor the monodromy to e^(2 pi i) - 1 != 0 (E = 1e26)
+        spec = ProblemSpec(kind=Kind.COULOMB3D_CONT)
+        real = {}
+        for energy in (1e26, 1e34):
+            real[energy] = phi_values(spec, energy, [1.0], Method.REAL_INTEGRAL)[0]
+            series = phi_values(spec, energy, [1.0], Method.SERIES)[0]
+            assert series == pytest.approx(real[energy], rel=1e-8)
+        assert real[1e34] / real[1e26] == pytest.approx(1e-4, rel=1e-6)
 
     @pytest.mark.filterwarnings("ignore::laplaceqm.contour_eval.PrecisionLoss")
     def test_first_failing_point_stops_the_grid(self, monkeypatch):
