@@ -339,7 +339,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        "wavefunction, xi space for validate)")
         p.add_argument("--method", choices=sorted(_METHOD_FLAGS))
         p.add_argument("--radius", type=float, help="circle contour radius (> 1)")
-        p.add_argument("--steps", type=int, help="circle quadrature steps")
+        p.add_argument("--steps", type=int,
+                       help="finest circle rule (>= 1000, default 100000); the rule "
+                       "halves it and stops once two levels agree")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--config", help="key=value file; flags override it")
     return parser

@@ -31,6 +31,8 @@ from .core_laplace import (
     log_terms,
 )
 from .special_fn import (
+    _GL_NODES,
+    _GL_WEIGHTS,
     _adaptive_gauss,
     gamma_complex,
     hermite,
@@ -71,7 +73,13 @@ ROUTES: Dict[catalog.Kind, Tuple[Method, ...]] = {
 
 @dataclass(frozen=True)
 class ContourConfig:
-    """Radius and step count of the circle route."""
+    """Radius and finest step count of the circle route.
+
+    steps is the finest rule: the circle halves it down to the coarsest
+    integer level >= 1000 and stops at the first level that agrees with the
+    one below it, and the degenerate free segment uses at most steps
+    Gauss-Legendre nodes.
+    """
 
     radius_R: float = 1.1
     steps: int = 100_000
@@ -258,33 +266,79 @@ def phase_phi2(theta, radius):
     return out if np.ndim(theta) else float(out)
 
 
-_PRECISION_EXPONENT_LIMIT = 700.0
+_EPS = float(np.finfo(float).eps)
+_PRECISION_LOSS = 1e-6  # eps * sum|summand| / |sum| above this warns
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=8)
 def _circle_terms(ode: CanonicalODE, exps: Exponents, radius_R: float, steps: int):
-    """The xi-independent arrays of the circle rule, read-only.
+    """The xi-independent arrays of the steps-node circle rule, read-only.
 
     (z, t_plus, t_minus): the nodes and the two log_terms at the tracked
-    winding phases; in the degenerate free case (y, (1 - y^2)^power,
-    weights) of the straight segment instead.  One entry suffices because
-    a grid's points are evaluated back to back with the same key.
+    winding phases.  One entry per rule level suffices because a grid's
+    points are evaluated back to back with the same ode and R.
     """
-    if degenerate_free(ode, exps):
-        # here alpha_+- are the same integer, so the moduli combine exactly
-        power = int(round(exps.alpha_plus.real)) - 1
-        y, h = np.linspace(-1.0, 1.0, steps + 1, retstep=True)
-        weights = np.full(steps + 1, h, dtype=float)
-        weights[0] = weights[-1] = 0.5 * h
-        terms = (y, (1.0 - y * y) ** power, weights)
-    else:
-        theta = np.linspace(0.0, 2.0 * math.pi, steps, endpoint=False)
-        z = radius_R * np.exp(1j * (theta + 0.5 * math.pi))
-        phases = (phase_phi1(theta, radius_R), phase_phi2(theta, radius_R))
-        terms = (z, *log_terms(ode, exps, z, phases)[:2])
+    theta = np.linspace(0.0, 2.0 * math.pi, steps, endpoint=False)
+    z = radius_R * np.exp(1j * (theta + 0.5 * math.pi))
+    phases = (phase_phi1(theta, radius_R), phase_phi2(theta, radius_R))
+    terms = (z, *log_terms(ode, exps, z, phases)[:2])
     for a in terms:
         a.flags.writeable = False
     return terms
+
+
+@functools.lru_cache(maxsize=16)
+def _segment_panels(panels: int):
+    """Nodes and weights of `panels` 20-point Gauss-Legendre panels on [-1, 1], read-only."""
+    half = 1.0 / panels
+    mids = half * (2.0 * np.arange(panels) + 1.0) - 1.0
+    y = (mids[:, None] + half * _GL_NODES).ravel()
+    w = np.tile(half * _GL_WEIGHTS, panels)
+    for a in (y, w):
+        a.flags.writeable = False
+    return y, w
+
+
+def _circle_levels(steps: int):
+    """steps, steps/2, steps/4, ... down to the last integer >= 1000, coarsest first."""
+    levels = [steps]
+    while levels[-1] % 2 == 0 and levels[-1] // 2 >= 1000:
+        levels.append(levels[-1] // 2)
+    return levels[::-1]
+
+
+def _converged(estimate, sizes):
+    """(sum, sum of |summand|) of the first size that agrees with the one before.
+
+    estimate(size) returns both sums of one rule.  Two successive sums agree
+    when they differ by at most 1e-13 relative or by the rounding floor
+    8 eps * sum|summand| that the finer sum already carries.  A non-finite
+    sum stops at once; without agreement the last size is the answer.
+    """
+    total = None
+    for size in sizes:
+        prev = total
+        total, mass = estimate(size)
+        if not cmath.isfinite(total):
+            break
+        if prev is not None and abs(total - prev) <= max(1e-13 * abs(total), 8.0 * _EPS * mass):
+            break
+    return total, mass
+
+
+def _circle_sum(ode: CanonicalODE, exps: Exponents, radius_R: float, steps: int, xi: float):
+    z, t_plus, t_minus = _circle_terms(ode, exps, radius_R, steps)
+    h = 2.0 * math.pi / steps
+    with np.errstate(over="ignore", invalid="ignore"):
+        logf = xi * z + t_plus + t_minus
+        summand = 1j * z * np.exp(logf)
+        return np.sum(summand) * h, np.sum(np.abs(summand)) * h
+
+
+def _segment_sum(power: int, xi: float, panels: int):
+    y, w = _segment_panels(panels)
+    summand = w * np.exp(1j * xi * y) * (1.0 - y * y) ** power
+    return np.sum(summand), np.sum(np.abs(summand))
 
 
 def continuum_phi_circle(
@@ -297,35 +351,43 @@ def continuum_phi_circle(
     """Phi from the uniform-step rule on the circle |z| = R.
 
     The integrand is smooth and periodic, so the plain trapezoid converges
-    spectrally; accuracy is instead lost to cancellation once R*xi grows,
-    which is flagged (not fatal) above R*xi = 700. In the degenerate free
-    case the closed loop encloses nothing and vanishes identically, so the
-    rule integrates straight across the branch-point segment instead; that
-    value is what the closed contour degenerates to and is independent of R.
-    Only the factor e^{xi z} is computed per call; the rest comes from
-    _circle_terms, built once per (ode, R, steps).
+    geometrically: the rule runs at steps/2^k nodes, from the coarsest
+    level that is still an integer >= 1000 up to config.steps, and stops at
+    the first level that agrees with the one below it (see _converged).
+    Accuracy is instead lost to cancellation once R*xi grows; when the
+    rounding error eps * sum|summand| exceeds 1e-6 of the sum, or the sum
+    is not finite, PrecisionLoss is warned. In the degenerate free case the
+    closed loop encloses nothing and vanishes identically, so the rule
+    integrates straight across the branch-point segment instead, with
+    composite 20-point Gauss-Legendre panels doubled until two estimates
+    agree (at most config.steps nodes); that value is what the closed
+    contour degenerates to and is independent of R.  Only the factor
+    e^{xi z} is computed per call; the rest comes from _circle_terms, built
+    once per (ode, R, level), or from the panel tables.
     """
     if ode.regime is not Regime.CONTINUUM:
         raise MethodRegimeMismatch("circle rule applies to the continuum regime")
     cfg = config or ContourConfig()
     r, n = cfg.radius_R, cfg.steps
     xi = float(xi)
-    if r * xi > _PRECISION_EXPONENT_LIMIT:
-        warnings.warn(
-            f"R*xi = {r * xi:.3g} exceeds the overflow/cancellation budget",
-            PrecisionLoss,
-            stacklevel=2,
-        )
     if degenerate_free(ode, exps):
-        y, moduli, weights = _circle_terms(ode, exps, r, n)
-        vals = np.exp(1j * xi * y) * moduli
-        return 1j * complex(np.sum(weights * vals))
-    z, t_plus, t_minus = _circle_terms(ode, exps, r, n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        logf = xi * z + t_plus + t_minus
-        summand = 1j * z * np.exp(logf)
-        total = np.sum(summand) * (2.0 * math.pi / n)
-    return complex(total * convention.reference_point_phase)
+        # here alpha_+- are the same integer, so the moduli combine exactly
+        power = int(round(exps.alpha_plus.real)) - 1
+        panel_counts = [2**k for k in range(n.bit_length()) if 20 * 2**k <= n]
+        total, mass = _converged(lambda k: _segment_sum(power, xi, k), panel_counts)
+        value = 1j * total
+    else:
+        total, mass = _converged(
+            lambda m: _circle_sum(ode, exps, r, m, xi), _circle_levels(n)
+        )
+        value = total * convention.reference_point_phase
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        loss = _EPS * mass / np.abs(total)
+    if not loss <= _PRECISION_LOSS:
+        detail = (f"carries a relative rounding error of {loss:.2g}"
+                  if cmath.isfinite(total) else "is not finite")
+        warnings.warn(f"circle sum at R*xi = {r * xi:.3g} {detail}", PrecisionLoss, stacklevel=2)
+    return complex(value)
 
 
 # ---------------------------------------------------------------------------

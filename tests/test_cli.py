@@ -7,6 +7,7 @@ import subprocess
 import pytest
 
 import laplaceqm.contour_eval as ce
+from laplaceqm.contour_eval import PrecisionLoss
 from laplaceqm.cli import (
     ConfigError,
     _format_cell,
@@ -155,18 +156,36 @@ class TestCircleMemo:
          "--method", "circle", "--grid", "0,10,21"),
     ])
     def test_nodes_built_once_per_grid(self, capsys, monkeypatch, argv):
+        # each rule level's nodes are built at most once per grid, and these
+        # grids (xi <= 14) converge without a level above 6,250 of the 100,000
         built = []
         original = ce.phase_phi1
 
         def counted(theta, radius):
-            built.append(radius)
+            built.append(theta.size)
             return original(theta, radius)
 
         monkeypatch.setattr(ce, "phase_phi1", counted)
         ce._circle_terms.cache_clear()
         code, _, _ = run(capsys, *argv)
         assert code == 0
-        assert len(built) == 1
+        assert len(built) == len(set(built))
+        assert max(built) <= 6250
+
+
+class TestCircleCancellationWarning:
+    @pytest.mark.parametrize("argv, rows", [
+        (("validate", "--kind", "coulomb3d_cont", "--param", "E=1", "--grid", "0.5,1000,3"), 3),
+        (("wavefunction", "--kind", "coulomb3d_cont", "--param", "E=1",
+          "--method", "circle", "--grid", "0,353.6,2"), 2),
+    ])
+    def test_cancelled_sum_warns(self, capsys, argv, rows):
+        # at xi ~ 500 (R*xi = 550) the circle sum is rounding noise of order
+        # 1e222 where |Phi| ~ 3e-3: the rows still print, with a warning
+        with pytest.warns(PrecisionLoss, match="circle sum at R\\*xi = 550"):
+            code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(read_csv(out)[1]) == rows
 
 
 class TestValidateCommand:

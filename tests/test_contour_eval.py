@@ -9,6 +9,7 @@ against closed elementary forms, and against frozen high-precision values.
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,46 @@ from laplaceqm.potential_catalog import (
     residue_lattice_energy,
 )
 from laplaceqm.special_fn import SeriesDivergence, laguerre
+
+
+# (Im Phi, scale) with Re Phi = 0 and scale = sqrt(|Phi|^2 + |dPhi/dxi|^2),
+# from mpmath at 40 digits by Euler's integral for M (see tests/test_golden.py):
+# free3d at l = 0, 1, 2 (beta = 2l + 2, delta = 0) on FREE3D_XI, and on
+# WINDOW_XI the window state of each other continuum kind with the largest
+# circle error among q = 0, 1, 2 and E = 0.25, 1, 4 (q = 2, E = 4; free2d E = 1)
+FREE3D_XI = (0.5, 5.0, 10.0, 20.0, 40.0)
+FREE3D_TRUTH = {
+    0: ((1.9177021544168120e+00, 1.9450590475270515e+00),
+        (-3.8356970986525540e-01, 4.2812814021213846e-01),
+        (-1.0880422217787396e-01, 1.9096230671189227e-01),
+        (9.1294525072762769e-02, 9.8225659303111723e-02),
+        (3.7255658023967436e-02, 5.0625937333588798e-02)),
+    1: ((1.3002962450885325e+00, 1.3068753442512546e+00),
+        (-7.6071526463336633e-02, 1.3192602654481603e-01),
+        (3.1386776719500617e-02, 4.4239433093801704e-02),
+        (-3.6243479927701061e-03, 1.0329804113808088e-02),
+        (1.7139147266606138e-03, 2.4382554477491822e-03)),
+    2: ((1.0477508229115784e+00, 1.0504415958496554e+00),
+        (8.6227974454480147e-02, 1.7049726786846456e-01),
+        (1.2470750980569991e-02, 1.3980473073467239e-02),
+        (-1.9346209412383585e-03, 1.9496006143088407e-03),
+        (-1.7342392966988260e-04, 2.5952201691387540e-04)),
+}
+WINDOW_XI = (0.5, 5.0, 10.0)
+WINDOW_TRUTH = (
+    (Kind.FREE2D, {"m_quantum": 2}, 1.0, (
+        (2.3074890064340901e+00, 2.3155713486398763e+00),
+        (3.5109270530817804e-02, 2.7730779601047495e-01),
+        (4.7996683371266370e-02, 4.9242006612333557e-02))),
+    (Kind.COULOMB2D_CONT, {"m_quantum": 2}, 4.0, (
+        (3.4016827238170917e+00, 3.4894707645470340e+00),
+        (-1.0777189413581906e-01, 2.0386809268999020e-01),
+        (3.1114150058029859e-02, 5.0421884133948137e-02))),
+    (Kind.COULOMB3D_CONT, {"l_quantum": 2}, 4.0, (
+        (-2.5446712980130850e+00, 2.5909860648388849e+00),
+        (-3.9713053311405629e-02, 2.1398163417169741e-01),
+        (-2.4168036731948110e-02, 2.5522412514138521e-02))),
+)
 
 
 def continuum_setup(kind: Kind, energy: float, **params):
@@ -211,8 +252,9 @@ class TestCircle:
                 ContourConfig(radius_R=radius)
 
     def test_memo_keying_is_bit_exact(self):
-        # interleaved energies, radii and the degenerate free branch must each
-        # read exactly what a cold memo gives for the same call
+        # interleaved energies and radii of the circle's level memo, and the
+        # degenerate free segment's panel tables, must each read exactly what
+        # a cold cache gives for the same call
         states = ((Kind.COULOMB3D_CONT, 0.7), (Kind.COULOMB3D_CONT, 2.0), (Kind.FREE3D, 2.0))
         keys = [(kind, e, r) for r in (1.1, 1.6) for kind, e in states]
 
@@ -223,19 +265,45 @@ class TestCircle:
 
         cold = {}
         for key in keys:
+            cache = ce._segment_panels if key[0] is Kind.FREE3D else ce._circle_terms
             for xi in (0.5, 3.0):
-                ce._circle_terms.cache_clear()
+                cache.cache_clear()
                 cold[key, xi] = phi(*key, xi)
         for key in keys + keys[::-1]:
             for xi in (0.5, 3.0, 0.5):
                 assert phi(*key, xi) == cold[key, xi]
 
     def test_memo_arrays_are_read_only(self):
-        for kind in (Kind.COULOMB3D_CONT, Kind.FREE3D):
-            _, ode, exps = continuum_setup(kind, 1.0)
-            for array in ce._circle_terms(ode, exps, 1.1, 1000):
+        _, ode, exps = continuum_setup(Kind.COULOMB3D_CONT, 1.0)
+        for arrays in (ce._circle_terms(ode, exps, 1.1, 1000), ce._segment_panels(4)):
+            for array in arrays:
                 with pytest.raises(ValueError):
                     array[0] = 0.0
+
+    def test_degenerate_free_segment_against_mpmath(self):
+        # the Gauss-Legendre segment rule is exact to rounding at every l and
+        # xi (the trapezoid it replaced was off by 2.5e-9 of the scale at xi = 10)
+        for l, truth in FREE3D_TRUTH.items():
+            _, ode, exps = continuum_setup(Kind.FREE3D, 1.0, l_quantum=l)
+            conv = default_phase_convention(ode)
+            for xi, (im_phi, scale) in zip(FREE3D_XI, truth):
+                got = continuum_phi_circle(ode, exps, conv, xi)
+                assert abs(got - 1j * im_phi) <= 1e-12 * scale, (l, xi)
+
+    def test_tracked_phase_circle_against_mpmath(self):
+        # the step count sized by convergence keeps the trusted window (xi <= 10)
+        for kind, params, energy, truth in WINDOW_TRUTH:
+            _, ode, exps = continuum_setup(kind, energy, **params)
+            conv = default_phase_convention(ode)
+            for xi, (im_phi, scale) in zip(WINDOW_XI, truth):
+                got = continuum_phi_circle(ode, exps, conv, xi)
+                assert abs(got - 1j * im_phi) <= 1e-9 * scale, (kind, xi)
+
+    def test_no_warning_inside_the_window(self):
+        _, ode, exps = continuum_setup(Kind.COULOMB3D_CONT, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            continuum_phi_circle(ode, exps, default_phase_convention(ode), 5.0)
 
     def test_regime_guard(self):
         ode = canonicalize(ProblemSpec(kind=Kind.COULOMB3D), -0.5)
