@@ -7,7 +7,6 @@ import subprocess
 import pytest
 
 import laplaceqm.contour_eval as ce
-from laplaceqm.contour_eval import PrecisionLoss
 from laplaceqm.cli import (
     ConfigError,
     _format_cell,
@@ -182,7 +181,7 @@ class TestCircleCancellationWarning:
     def test_cancelled_sum_warns(self, capsys, argv, rows):
         # at xi ~ 500 (R*xi = 550) the circle sum is rounding noise of order
         # 1e222 where |Phi| ~ 3e-3: the rows still print, with a warning
-        with pytest.warns(PrecisionLoss, match="circle sum at R\\*xi = 550"):
+        with pytest.warns(ce.PrecisionLoss, match="circle sum at R\\*xi = 550"):
             code, out, _ = run(capsys, *argv)
         assert code == 0
         assert len(read_csv(out)[1]) == rows

@@ -281,8 +281,8 @@ class TestCircle:
                     array[0] = 0.0
 
     def test_degenerate_free_segment_against_mpmath(self):
-        # the Gauss-Legendre segment rule is exact to rounding at every l and
-        # xi (the trapezoid it replaced was off by 2.5e-9 of the scale at xi = 10)
+        # the segment integrand is entire, so the Gauss-Legendre panels reach
+        # rounding at every l and xi, far past the tracked-phase window
         for l, truth in FREE3D_TRUTH.items():
             _, ode, exps = continuum_setup(Kind.FREE3D, 1.0, l_quantum=l)
             conv = default_phase_convention(ode)
