@@ -7,14 +7,15 @@ numeric footer values) within 1e-10 relative with a 1e-13 absolute floor, so a
 different libm passes while a change in any formula or order of operations
 beyond the last digits does not.
 
-The circle route's cells are the exception. Its quadrature rule may change its
-last digits, so in the three goldens that print it, every route's value is
-held to frozen mpmath values of Phi instead, each within a bound taken from
-that route's measured error; the circle's cells are held only to that bound,
-the real integral's and the series' to it and to the golden. The dev_* cells
-that involve the circle must equal |va - vb| / |v_ref| recomputed from the
-printed values and lie within what the value bounds allow, and the
-pairwise_max_rel_dev footer must be the largest printed dev_* cell.
+The quadrature routes' cells are the exception. The circle's and the real
+integral's rules may change their last digits, so in the three goldens that
+print them, every route's value is held to frozen mpmath values of Phi
+instead, each within a bound taken from that route's measured error; the
+circle's and the real integral's cells are held only to that bound, the
+series' to it and to the golden. Every dev_* cell must equal
+|va - vb| / |v_ref| recomputed from the printed values and lie within what the
+value bounds allow, and the pairwise_max_rel_dev footer must be the largest
+printed dev_* cell.
 """
 
 from pathlib import Path
@@ -136,14 +137,16 @@ BOUNDS = {
     },
 }
 
-# numeric cells left to the truth checks: the circle's values and the
-# deviations and footer computed from them
-CIRCLE_CELLS = {"re_circle", "im_circle", "dev_real_integral_circle", "dev_circle_series",
-                "re_phi", "im_phi", "re_psi", "im_psi", "pairwise_max_rel_dev"}
+# numeric cells left to the truth checks: the circle's and the real
+# integral's values and the deviations and footer computed from them
+TRUTH_CELLS = {"re_circle", "im_circle", "re_real_integral", "im_real_integral",
+               "dev_real_integral_circle", "dev_real_integral_series", "dev_circle_series",
+               "re_phi", "im_phi", "re_psi", "im_psi", "pairwise_max_rel_dev"}
 
-# the dev_* columns that involve the circle, and the routes each compares
-CIRCLE_DEVS = {"dev_real_integral_circle": ("real_integral", "circle"),
-               "dev_circle_series": ("circle", "series")}
+# every dev_* column, and the routes each compares
+DEVS = {"dev_real_integral_circle": ("real_integral", "circle"),
+        "dev_real_integral_series": ("real_integral", "series"),
+        "dev_circle_series": ("circle", "series")}
 
 PRINT_ROUNDING = 1e-12  # relative rounding of a %.12e cell, with headroom
 
@@ -173,7 +176,7 @@ def _run(capsys, name):
 def test_cli_matches_golden(capsys, name):
     header, rows, footers = _run(capsys, name)
     want_header, want_rows, want_footers = read_csv((GOLDEN / name).read_text())
-    free = CIRCLE_CELLS if name in TRUTH else set()
+    free = TRUTH_CELLS if name in TRUTH else set()
     assert header == want_header
     assert len(rows) == len(want_rows)
     for i, (row, want) in enumerate(zip(rows, want_rows)):
@@ -209,7 +212,7 @@ def test_routes_match_truth(capsys, name):
         return
     for i, (row, (im_phi, _)) in enumerate(zip(rows, truth)):
         ref = _value(row, col, "real_integral")
-        for h, (a, b) in CIRCLE_DEVS.items():
+        for h, (a, b) in DEVS.items():
             va, vb, dev = _value(row, col, a), _value(row, col, b), row[col[h]]
             recomputed = abs(va - vb) / abs(ref)
             slack = PRINT_ROUNDING * ((abs(va) + abs(vb)) / abs(ref) + dev)
