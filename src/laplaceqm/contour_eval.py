@@ -2,7 +2,8 @@
 
 Bound states come from an N-th derivative residue at z = -lambda (closed
 form, no quadrature). Continuum states are computed three independent ways
-so they can police each other: a real segment integral, a radius-R circle
+so they can police each other: the real segment integral (moved onto two
+steepest-descent rays for xi >= 1), a radius-R circle
 with explicitly tracked branch phases, and a power series; the Morse
 continuum uses a ray off the left branch point instead.
 """
@@ -13,6 +14,7 @@ import cmath
 import enum
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -33,7 +35,6 @@ from .core_laplace import (
 from .special_fn import (
     _GL_NODES,
     _GL_WEIGHTS,
-    _adaptive_gauss,
     gamma_complex,
     hermite,
     kummer_m,
@@ -173,6 +174,10 @@ def _integer_re_alpha_plus(exps: Exponents) -> bool:
     )
 
 
+# sinh and cosh of pi delta / 2 overflow a double past this |delta|
+_EDGE_DELTA_MAX = 2.0 * (math.log(sys.float_info.max) + math.log(2.0)) / math.pi
+
+
 def _bracket_coefficient(ode: CanonicalODE, exps: Exponents) -> complex:
     """Edge-combination factor i(e^{-pi delta/2} -+ e^{pi delta/2}).
 
@@ -185,49 +190,178 @@ def _bracket_coefficient(ode: CanonicalODE, exps: Exponents) -> complex:
     if degenerate_free(ode, exps):
         return 1j
     half = 0.5 * math.pi * ode.delta
-    if _integer_re_alpha_plus(exps):
-        return -2j * math.sinh(half)
-    return 2j * math.cosh(half)
+    integer = _integer_re_alpha_plus(exps)
+    try:
+        return -2j * math.sinh(half) if integer else 2j * math.cosh(half)
+    except OverflowError:
+        raise OverflowError(
+            f"edge factor overflows at delta = {ode.delta:.6g}: |delta| must stay below "
+            f"{_EDGE_DELTA_MAX:.6g} (the continuum energy is too low)"
+        ) from None
 
 
-def continuum_phi_real_integral(
-    ode: CanonicalODE, exps: Exponents, xi: float, tol: float = 1e-11
-) -> complex:
-    """Phi from the segment integral along the branch cut.
+_EPS = float(np.finfo(float).eps)
+_PRECISION_LOSS = 1e-6  # eps * sum|summand| / |sum| above this warns
+_HALVINGS = 6  # a double-exponential rule halves its step at most this often
 
-    Phi(xi) = C * 2^(beta-1) * e^{-i xi} * int_0^1 e^{2 i xi x}
-    (1-x)^(alpha_plus - 1) x^(alpha_minus - 1) dx, with C the edge factor.
-    Endpoint singularities are flattened by power substitutions before the
-    adaptive Gauss rule sees them.
+
+def _de_abscissae(lo: float, hi: float, h0: float):
+    """s nodes of a rule on [lo, hi], nested level by level.
+
+    Level 0 holds every multiple of h0 from lo; level k holds only the odd
+    multiples of h0 / 2^k, the nodes the halving adds.
+    """
+    n0 = round((hi - lo) / h0)
+    levels = [lo + h0 * np.arange(n0 + 1)]
+    for k in range(1, _HALVINGS + 1):
+        h = h0 / 2**k
+        levels.append(lo + h * np.arange(1, n0 * 2**k, 2))
+    return levels
+
+
+def _frozen(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _ray_nodes(s):
+    """exp-sinh log u and log du/ds, from s, with u = 2 xi t = e^{(pi/2) sinh s}.
+
+    t = u / (2 xi), so both logs shift by -log(2 xi) per xi.
+    """
+    log_u = 0.5 * math.pi * np.sinh(s)
+    return _frozen(log_u, log_u + np.log(0.5 * math.pi * np.cosh(s)))
+
+
+_RAY_H0 = 0.2
+_RAY_LEVELS = tuple(_ray_nodes(s) for s in _de_abscissae(-6.0, 4.0, _RAY_H0))
+
+
+def _segment_nodes(s):
+    """tanh-sinh x in (0, 1), log x, log(1 - x) and log dx/ds, from s."""
+    v = math.pi * np.sinh(s)
+    log_x = -np.log1p(np.exp(-v))
+    log_1mx = -np.log1p(np.exp(v))
+    return _frozen(np.exp(log_x), log_x, log_1mx,
+                   np.log(math.pi * np.cosh(s)) + log_x + log_1mx)
+
+
+_SEGMENT_H0 = 0.1
+_SEGMENT_LEVELS = tuple(_segment_nodes(s) for s in _de_abscissae(-5.0, 5.0, _SEGMENT_H0))
+
+
+def _segment_log_integrand(exps: Exponents, xi: float, x, log_x, log_1mx):
+    """2 i xi x + (alpha_- - 1) Log x + (alpha_+ - 1) Log(1 - x), principal logs."""
+    return (2j * xi * x + (exps.alpha_minus - 1.0) * log_x
+            + (exps.alpha_plus - 1.0) * log_1mx)
+
+
+def _ray_sum(exps: Exponents, xi: float, level: int):
+    """(sum, sum of |summand|) of one level's new nodes on the two rays.
+
+    int_0^1 = i int_0^inf [f(it) - f(1 + it)] dt; on x = it, Log x =
+    ln t + i pi/2, and on x = 1 + it, Log(1 - x) = ln t - i pi/2.
+    """
+    log_u, log_du = _RAY_LEVELS[level]
+    shift = math.log(2.0 * xi)
+    log_t = log_u - shift
+    t = np.exp(log_t)
+    with np.errstate(under="ignore"):
+        left = np.exp(_segment_log_integrand(
+            exps, xi, 1j * t, log_t + 0.5j * math.pi, np.log(1.0 - 1j * t)) + (log_du - shift))
+        right = np.exp(_segment_log_integrand(
+            exps, xi, 1.0 + 1j * t, np.log(1.0 + 1j * t), log_t - 0.5j * math.pi)
+            + (log_du - shift))
+    return 1j * (np.sum(left) - np.sum(right)), np.sum(np.abs(left)) + np.sum(np.abs(right))
+
+
+def _tanh_sinh_sum(exps: Exponents, xi: float, level: int):
+    """(sum, sum of |summand|) of one level's new nodes on the segment."""
+    x, log_x, log_1mx, log_dx = _SEGMENT_LEVELS[level]
+    with np.errstate(under="ignore"):
+        summand = np.exp(_segment_log_integrand(exps, xi, x, log_x, log_1mx) + log_dx)
+    return np.sum(summand), np.sum(np.abs(summand))
+
+
+def _nested(levels):
+    """Running (sum, sum of |summand|) of a rule whose step halves per level.
+
+    levels yields (h, sum, sum of |summand|) over the nodes each level adds,
+    coarsest first: T_2m = T_m / 2 + h_2m * sum over the new nodes.
+    """
+    total = mass = None
+    for h, part, part_mass in levels:
+        if total is None:
+            total, mass = part * h, part_mass * h
+        else:
+            total, mass = 0.5 * total + h * part, 0.5 * mass + h * part_mass
+        yield total, mass
+
+
+def _converged(estimates):
+    """(sum, sum of |summand|, converged) at the first estimate agreeing with the one before.
+
+    estimates yields both sums of successively finer rules.  Two successive
+    sums agree when they differ by at most 1e-13 relative or by the rounding
+    floor 8 eps * sum|summand| that the finer sum already carries.  A
+    non-finite sum stops at once; without agreement the last estimate is the
+    answer, with converged False.
+    """
+    prev = None
+    for total, mass in estimates:
+        if not cmath.isfinite(total):
+            return total, mass, False
+        if prev is not None and abs(total - prev) <= max(1e-13 * abs(total), 8.0 * _EPS * mass):
+            return total, mass, True
+        prev = total
+    return total, mass, False
+
+
+def _rounding_loss(total, mass) -> float:
+    """eps * sum|summand| / |sum|: the relative rounding error a sum carries."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return float(_EPS * mass / np.abs(total))
+
+
+def continuum_phi_real_integral(ode: CanonicalODE, exps: Exponents, xi: float) -> complex:
+    """Phi from the segment integral between the branch points.
+
+    Phi(xi) = C * 2^(beta-1) * e^{-i xi} * I, with C the edge factor and
+    I = int_0^1 e^{2 i xi x} (1-x)^(alpha_plus - 1) x^(alpha_minus - 1) dx.
+    For xi >= 1 the segment is moved onto the steepest-descent rays x = it
+    and x = 1 + it, where the oscillation becomes the decay e^{-2 xi t}
+    (DLMF 13.4(i)), and summed with an exp-sinh rule; below xi = 1 it stays
+    on the segment with a tanh-sinh rule (Takahasi & Mori, Publ. RIMS 9
+    (1974) 721-741).  Either rule halves its step up to six times, each
+    level adding only the new nodes, and stops at the first level that
+    agrees with the one before (see _converged): the Coulomb phase
+    x^(-i eta) oscillates faster as the energy falls.  PrecisionLoss is
+    warned when the rounding error eps * sum|summand| exceeds 1e-6 of the
+    sum, or when the finest level does not converge.
     """
     if ode.regime is not Regime.CONTINUUM:
         raise MethodRegimeMismatch("segment integral applies to the continuum regime")
-    ap, am = exps.alpha_plus, exps.alpha_minus
-    beta = ap + am
+    edge = _bracket_coefficient(ode, exps)
     xi = float(xi)
-
-    def half_integral(a_near: complex, a_far: complex, phase_sign: float) -> complex:
-        # int over the half of [0,1] nearest the x^(a_near-1) endpoint,
-        # substituted x = (1/2) u^p so the u-exponent has real part >= 1
-        p = max(1.0, 1.0 / a_near.real)
-
-        def f(u):
-            x = 0.5 * u**p
-            logv = (
-                2j * xi * (x if phase_sign > 0 else 1.0 - x)
-                + (a_far - 1.0) * np.log1p(-x)
-                + (p * a_near - 1.0) * np.log(u)
-                - (a_near - 1.0) * math.log(2.0)
-            )
-            return (p / 2.0) * np.exp(logv)
-
-        return _adaptive_gauss(f, 0.0, 1.0, tol)
-
-    near_zero = half_integral(am, ap, +1.0)
-    near_one = half_integral(ap, am, -1.0)
-    integral = near_zero + near_one
-    pref = _bracket_coefficient(ode, exps) * cmath.exp((beta - 1.0) * math.log(2.0))
-    return pref * cmath.exp(-1j * xi) * integral
+    if xi >= 1.0:
+        rule, level_sum = _RAY_H0, _ray_sum
+    else:
+        rule, level_sum = _SEGMENT_H0, _tanh_sinh_sum
+    levels = ((rule / 2**k, *level_sum(exps, xi, k)) for k in range(_HALVINGS + 1))
+    total, mass, converged = _converged(_nested(levels))
+    loss = _rounding_loss(total, mass)
+    if not (converged and loss <= _PRECISION_LOSS):
+        if not cmath.isfinite(total):
+            detail = "is not finite"
+        elif not converged:
+            detail = "did not converge at the finest step"
+        else:
+            detail = f"carries a relative rounding error of {loss:.2g}"
+        warnings.warn(f"real integral at xi = {xi:.3g} {detail}", PrecisionLoss, stacklevel=2)
+    beta = exps.alpha_plus + exps.alpha_minus
+    pref = edge * cmath.exp((beta - 1.0) * math.log(2.0))
+    return pref * cmath.exp(-1j * xi) * total
 
 
 # ---------------------------------------------------------------------------
@@ -266,25 +400,20 @@ def phase_phi2(theta, radius):
     return out if np.ndim(theta) else float(out)
 
 
-_EPS = float(np.finfo(float).eps)
-_PRECISION_LOSS = 1e-6  # eps * sum|summand| / |sum| above this warns
-
-
 @functools.lru_cache(maxsize=8)
-def _circle_terms(ode: CanonicalODE, exps: Exponents, radius_R: float, steps: int):
-    """The xi-independent arrays of the steps-node circle rule, read-only.
+def _circle_terms(ode: CanonicalODE, exps: Exponents, radius_R: float, steps: int,
+                  shift: float = 0.0):
+    """The xi-independent arrays of steps circle nodes, read-only.
 
-    (z, t_plus, t_minus): the nodes and the two log_terms at the tracked
-    winding phases.  One entry per rule level suffices because a grid's
-    points are evaluated back to back with the same ode and R.
+    (z, t_plus, t_minus): the nodes at theta = 2 pi (j + shift) / steps and
+    the two log_terms at the tracked winding phases.  shift = 1/2 gives the
+    nodes a halving adds.  One entry per rule level suffices because a
+    grid's points are evaluated back to back with the same ode and R.
     """
-    theta = np.linspace(0.0, 2.0 * math.pi, steps, endpoint=False)
+    theta = (np.arange(steps) + shift) * (2.0 * math.pi / steps)
     z = radius_R * np.exp(1j * (theta + 0.5 * math.pi))
     phases = (phase_phi1(theta, radius_R), phase_phi2(theta, radius_R))
-    terms = (z, *log_terms(ode, exps, z, phases)[:2])
-    for a in terms:
-        a.flags.writeable = False
-    return terms
+    return _frozen(z, *log_terms(ode, exps, z, phases)[:2])
 
 
 @functools.lru_cache(maxsize=16)
@@ -294,9 +423,7 @@ def _segment_panels(panels: int):
     mids = half * (2.0 * np.arange(panels) + 1.0) - 1.0
     y = (mids[:, None] + half * _GL_NODES).ravel()
     w = np.tile(half * _GL_WEIGHTS, panels)
-    for a in (y, w):
-        a.flags.writeable = False
-    return y, w
+    return _frozen(y, w)
 
 
 def _circle_levels(steps: int):
@@ -307,32 +434,17 @@ def _circle_levels(steps: int):
     return levels[::-1]
 
 
-def _converged(estimate, sizes):
-    """(sum, sum of |summand|) of the first size that agrees with the one before.
-
-    estimate(size) returns both sums of one rule.  Two successive sums agree
-    when they differ by at most 1e-13 relative or by the rounding floor
-    8 eps * sum|summand| that the finer sum already carries.  A non-finite
-    sum stops at once; without agreement the last size is the answer.
-    """
-    total = None
-    for size in sizes:
-        prev = total
-        total, mass = estimate(size)
-        if not cmath.isfinite(total):
-            break
-        if prev is not None and abs(total - prev) <= max(1e-13 * abs(total), 8.0 * _EPS * mass):
-            break
-    return total, mass
-
-
-def _circle_sum(ode: CanonicalODE, exps: Exponents, radius_R: float, steps: int, xi: float):
-    z, t_plus, t_minus = _circle_terms(ode, exps, radius_R, steps)
-    h = 2.0 * math.pi / steps
-    with np.errstate(over="ignore", invalid="ignore"):
-        logf = xi * z + t_plus + t_minus
-        summand = 1j * z * np.exp(logf)
-        return np.sum(summand) * h, np.sum(np.abs(summand)) * h
+def _circle_level_sums(ode: CanonicalODE, exps: Exponents, radius_R: float, levels, xi: float):
+    """(h, sum, sum of |summand|) per level: every node of the coarsest, then the new ones."""
+    for k, steps in enumerate(levels):
+        if k == 0:
+            z, t_plus, t_minus = _circle_terms(ode, exps, radius_R, steps)
+        else:
+            z, t_plus, t_minus = _circle_terms(ode, exps, radius_R, steps // 2, 0.5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            logf = xi * z + t_plus + t_minus
+            summand = 1j * z * np.exp(logf)
+            yield 2.0 * math.pi / steps, np.sum(summand), np.sum(np.abs(summand))
 
 
 def _segment_sum(power: int, xi: float, panels: int):
@@ -352,8 +464,9 @@ def continuum_phi_circle(
 
     The integrand is smooth and periodic, so the plain trapezoid converges
     geometrically: the rule runs at steps/2^k nodes, from the coarsest
-    level that is still an integer >= 1000 up to config.steps, and stops at
-    the first level that agrees with the one below it (see _converged).
+    level that is still an integer >= 1000 up to config.steps, each level
+    adding only the odd nodes to the one below it, and stops at the first
+    level that agrees with the one below it (see _converged).
     Accuracy is instead lost to cancellation once R*xi grows; when the
     rounding error eps * sum|summand| exceeds 1e-6 of the sum, or the sum
     is not finite, PrecisionLoss is warned. In the degenerate free case the
@@ -374,15 +487,13 @@ def continuum_phi_circle(
         # here alpha_+- are the same integer, so the moduli combine exactly
         power = int(round(exps.alpha_plus.real)) - 1
         panel_counts = [2**k for k in range(n.bit_length()) if 20 * 2**k <= n]
-        total, mass = _converged(lambda k: _segment_sum(power, xi, k), panel_counts)
+        total, mass, _ = _converged(_segment_sum(power, xi, k) for k in panel_counts)
         value = 1j * total
     else:
-        total, mass = _converged(
-            lambda m: _circle_sum(ode, exps, r, m, xi), _circle_levels(n)
-        )
+        levels = _circle_level_sums(ode, exps, r, _circle_levels(n), xi)
+        total, mass, _ = _converged(_nested(levels))
         value = total * convention.reference_point_phase
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        loss = _EPS * mass / np.abs(total)
+    loss = _rounding_loss(total, mass)
     if not loss <= _PRECISION_LOSS:
         detail = (f"carries a relative rounding error of {loss:.2g}"
                   if cmath.isfinite(total) else "is not finite")
@@ -474,17 +585,19 @@ def _check_method(spec: catalog.ProblemSpec, method: Method):
         raise MethodRegimeMismatch(f"method {method.value} not valid for {spec.kind.value}")
 
 
+# the routes whose accuracy a caller's tol sets
+_TOL_METHODS = (Method.SERIES, Method.MORSE_RAY)
+
+
 def _point_route(ode: CanonicalODE, exps: Exponents, method: Method,
                  config: Optional[ContourConfig], tol: Optional[float]):
     """The quadrature or series route as a function of one xi."""
     if method is Method.CIRCLE:
         conv = default_phase_convention(ode)
         return lambda x: continuum_phi_circle(ode, exps, conv, x, config)
-    route = {
-        Method.REAL_INTEGRAL: continuum_phi_real_integral,
-        Method.SERIES: continuum_phi_series,
-        Method.MORSE_RAY: morse_continuum_phi,
-    }[method]
+    if method is Method.REAL_INTEGRAL:
+        return lambda x: continuum_phi_real_integral(ode, exps, x)
+    route = continuum_phi_series if method is Method.SERIES else morse_continuum_phi
     kw = {} if tol is None else {"tol": tol}
     return lambda x: route(ode, exps, x, **kw)
 
@@ -504,8 +617,12 @@ def phi_values(
     in order. Evaluation stops at the first point that fails, and a
     non-finite value is a failure (FloatingPointError naming the route and
     xi). That point's exception propagates with its index in ``.point``.
+    tol is the series' or the Morse ray's tolerance; any other method
+    sizes its own rule and rejects it (ValueError).
     """
     _check_method(spec, method)
+    if tol is not None and method not in _TOL_METHODS:
+        raise ValueError(f"method {method.value} takes no tol")
     xs = np.asarray(xi_values, dtype=float)
     route = None
     if spec.kind is catalog.Kind.SHO1D_HERMITE:

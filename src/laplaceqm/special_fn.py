@@ -3,7 +3,7 @@
 Closed-form Laguerre/Hermite polynomials (valid for arbitrary real
 superscript, including values at and below -1), a Lanczos complex Gamma,
 the confluent hypergeometric pair M and U, and a small adaptive
-Gauss-Legendre engine shared with the contour quadratures.
+Gauss-Legendre engine that Tricomi U integrates with.
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ def kummer_m(a, b, z, tol: float = 1e-15) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Adaptive composite Gauss-Legendre (shared with the contour evaluators)
+# Adaptive composite Gauss-Legendre (Tricomi U's integral)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 

@@ -81,6 +81,61 @@ WINDOW_TRUTH = (
         (-2.4168036731948110e-02, 2.5522412514138521e-02))),
 )
 
+# (Im Phi, scale) as above on REAL_XI, which straddles the real integral's
+# switch from the segment to the two rays at xi = 1 and reaches xi = 300:
+# one state per kind at E = 0.25, and the two Coulomb kinds' s-states at
+# E = 0.05, whose Coulomb phase x^(-i eta) oscillates faster
+REAL_XI = (1e-3, 0.5, 0.99, 1.0, 5.0, 40.0, 300.0)
+REAL_TRUTH = (
+    (Kind.FREE2D, {"m_quantum": 1}, (
+        (3.1415922608907279e+00, 3.1415923590654926e+00),
+        (3.0444352273116544e+00, 3.0686297893788401e+00),
+        (2.7721089629145408e+00, 2.8630709374896099e+00),
+        (2.7649193747683372e+00, 2.8576223034608783e+00),
+        (-4.1164808485065091e-01, 4.1578624767234423e-01),
+        (1.9798052700884548e-02, 1.9798759438322450e-02),
+        (-6.6784880104935008e-04, 9.6239445021546017e-04))),
+    (Kind.FREE3D, {"l_quantum": 2}, (
+        (1.0666665904761925e+00, 1.0666666013605459e+00),
+        (1.0477508229115784e+00, 1.0504415958496554e+00),
+        (9.9399548088375922e-01, 1.0042039704911923e+00),
+        (9.9256083218198177e-01, 1.0029672688862208e+00),
+        (8.6227974454480147e-02, 1.7049726786846456e-01),
+        (-1.7342392966988260e-04, 2.5952201691387540e-04),
+        (5.9255909979216175e-07, 5.9256040450985633e-07))),
+    (Kind.COULOMB2D_CONT, {"m_quantum": 0}, (
+        (6.2654247695198544e+00, 1.8822908834085659e+01),
+        (-6.2006366342180839e-02, 8.0656982611555250e+00),
+        (-2.2763649950204483e+00, 2.7184878444784468e+00),
+        (-2.2907135474223601e+00, 2.6762805568559411e+00),
+        (-8.8260959225615732e-01, 1.5844115311175566e+00),
+        (-3.8512335306129319e-01, 5.5754792811344234e-01),
+        (5.8231225128354248e-02, 2.0517504844666345e-01))),
+    (Kind.COULOMB3D_CONT, {"l_quantum": 1}, (
+        (-3.5517934319182103e+01, 4.3506562107389435e+01),
+        (-2.3956644641744973e+01, 3.1895416071764746e+01),
+        (-1.4753045362117216e+01, 2.2102865017169680e+01),
+        (-1.4588939588609845e+01, 2.1921941500044536e+01),
+        (-5.2099401333955382e-03, 9.0942543590159586e-01),
+        (8.0086486337141872e-04, 1.3163195889966761e-02),
+        (2.0895763981514613e-04, 2.2967098490920792e-04))),
+)
+LOW_E_XI = (0.2, 0.99, 1.0, 20.0, 100.0)
+LOW_E_TRUTH = (
+    (Kind.COULOMB2D_CONT, {"m_quantum": 0}, (
+        (4.9475287478775198e-01, 1.9521106060199219e+01),
+        (-8.3741574204642222e-01, 5.7223463686165958e+00),
+        (-7.8079181448772761e-01, 5.7169250587246179e+00),
+        (5.1568860986562659e-01, 7.8935036105440237e-01),
+        (-2.6401369765382759e-01, 3.5293961995358242e-01))),
+    (Kind.COULOMB3D_CONT, {"l_quantum": 0}, (
+        (-1.9210340557238336e+01, 8.3900198183923692e+01),
+        (5.2643505893181626e+00, 5.2645712132040661e+00),
+        (5.2629016005330174e+00, 5.2736248516300215e+00),
+        (2.8497002758486600e-01, 4.6018667603460972e-01),
+        (-5.4673832297068799e-02, 8.9903706470944048e-02))),
+)
+
 
 def continuum_setup(kind: Kind, energy: float, **params):
     spec = ProblemSpec(kind=kind, **params)
@@ -169,6 +224,48 @@ class TestRealIntegral:
         for xi in (0.5, 2.0, 5.5):
             got = continuum_phi_real_integral(ode, exps, xi)
             assert got == pytest.approx(2j * math.pi * bessel_j_series(0, xi), rel=1e-10)
+
+    @pytest.mark.parametrize("energy,cases,xis,bound", [
+        (0.25, REAL_TRUTH, REAL_XI, 1e-12),
+        (0.05, LOW_E_TRUTH, LOW_E_XI, 1e-11),
+    ])
+    def test_against_mpmath(self, energy, cases, xis, bound):
+        for kind, params, truth in cases:
+            _, ode, exps = continuum_setup(kind, energy, **params)
+            for xi, (im_phi, scale) in zip(xis, truth):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = continuum_phi_real_integral(ode, exps, xi)
+                assert abs(got - 1j * im_phi) <= bound * scale, (kind, xi)
+
+    def test_low_energy_warns(self):
+        # at E = 1e-3 the rounding of the sum swamps Phi (it read ~1e14 where
+        # Phi is O(1)), and at E = 1e-5 the finest step does not resolve
+        # the Coulomb phase; both points still return, with a warning
+        _, ode, exps = continuum_setup(Kind.COULOMB3D_CONT, 1e-3)
+        with pytest.warns(PrecisionLoss, match="relative rounding error"):
+            continuum_phi_real_integral(ode, exps, 0.0447)
+        _, ode, exps = continuum_setup(Kind.COULOMB3D_CONT, 1e-5)
+        with pytest.warns(PrecisionLoss, match="did not converge"):
+            continuum_phi_real_integral(ode, exps, 0.0134)
+
+    def test_edge_factor_overflow_names_delta(self):
+        # delta = 2 / sqrt(2E) = 14142 at E = 1e-8: sinh(pi delta / 2)
+        # overflows a double past delta = 452.3
+        _, ode, exps = continuum_setup(Kind.COULOMB3D_CONT, 1e-8)
+        with pytest.raises(OverflowError, match=r"delta = 14142\.1.*below 452\.303"):
+            continuum_phi_real_integral(ode, exps, 1.0)
+
+    def test_node_tables_are_nested_and_read_only(self):
+        for levels in (ce._RAY_LEVELS, ce._SEGMENT_LEVELS):
+            assert len(levels) == 7
+            first = levels[0][0]
+            for k, arrays in enumerate(levels[1:], 1):
+                # each halving adds one node between every pair of the level below
+                assert arrays[0].size == (first.size - 1) * 2 ** (k - 1)
+                for array in arrays:
+                    with pytest.raises(ValueError):
+                        array[0] = 0.0
 
     def test_regime_guard(self):
         ode = canonicalize(ProblemSpec(kind=Kind.SHO1D_EVEN), 0.5)
@@ -398,11 +495,32 @@ class TestPhiValuesDispatch:
         with pytest.raises(MethodRegimeMismatch):
             phi_values(morse, 1.0, [1.0], Method.REAL_INTEGRAL)
 
-    def test_tolerance_forwarding(self):
+    def test_tolerance_forwarding(self, monkeypatch):
+        seen = []
+
+        def recorded(ode, exps, xi, **kw):
+            seen.append(kw)
+            return series(ode, exps, xi, **kw)
+
+        series = ce.continuum_phi_series
+        monkeypatch.setattr(ce, "continuum_phi_series", recorded)
         spec = ProblemSpec(kind=Kind.COULOMB3D_CONT)
-        loose = phi_values(spec, 1.0, [1.0], Method.REAL_INTEGRAL, tol=1e-6)
-        tight = phi_values(spec, 1.0, [1.0], Method.REAL_INTEGRAL, tol=1e-12)
+        loose = phi_values(spec, 1.0, [1.0], Method.SERIES, tol=1e-6)
+        tight = phi_values(spec, 1.0, [1.0], Method.SERIES, tol=1e-15)
+        assert seen == [{"tol": 1e-6}, {"tol": 1e-15}]
         assert loose[0] == pytest.approx(tight[0], rel=1e-5)
+
+    @pytest.mark.parametrize("kind,method", [
+        (Kind.COULOMB3D_CONT, Method.REAL_INTEGRAL),
+        (Kind.COULOMB3D_CONT, Method.CIRCLE),
+        (Kind.COULOMB3D, Method.RESIDUE),
+        (Kind.SHO1D_HERMITE, Method.RESIDUE),
+    ])
+    def test_tolerance_rejected_where_ignored(self, kind, method):
+        # these routes size their own rule or are closed forms
+        energy = 1.0 if kind is Kind.COULOMB3D_CONT else 2.5 if kind is Kind.SHO1D_HERMITE else -0.5
+        with pytest.raises(ValueError, match=f"method {method.value} takes no tol"):
+            phi_values(ProblemSpec(kind=kind), energy, [1.0], method, tol=1e-12)
 
     def test_three_continuum_routes_cross_agree(self):
         spec = ProblemSpec(kind=Kind.COULOMB3D_CONT)
