@@ -14,7 +14,6 @@ import cmath
 import enum
 import functools
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -175,7 +174,7 @@ def _integer_re_alpha_plus(exps: Exponents) -> bool:
 
 
 # sinh and cosh of pi delta / 2 overflow a double past this |delta|
-_EDGE_DELTA_MAX = 2.0 * (math.log(sys.float_info.max) + math.log(2.0)) / math.pi
+_EDGE_DELTA_MAX = 2.0 * (math.log(np.finfo(float).max) + math.log(2.0)) / math.pi
 
 
 def _bracket_coefficient(ode: CanonicalODE, exps: Exponents) -> complex:
@@ -220,6 +219,7 @@ def _de_abscissae(lo: float, hi: float, h0: float):
 
 
 def _frozen(*arrays):
+    """The arrays, made read-only, as a tuple."""
     for a in arrays:
         a.flags.writeable = False
     return arrays
@@ -444,7 +444,8 @@ def _circle_level_sums(ode: CanonicalODE, exps: Exponents, radius_R: float, leve
         with np.errstate(over="ignore", invalid="ignore"):
             logf = xi * z + t_plus + t_minus
             summand = 1j * z * np.exp(logf)
-            yield 2.0 * math.pi / steps, np.sum(summand), np.sum(np.abs(summand))
+            sums = np.sum(summand), np.sum(np.abs(summand))
+        yield (2.0 * math.pi / steps, *sums)
 
 
 def _segment_sum(power: int, xi: float, panels: int):

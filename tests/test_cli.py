@@ -66,7 +66,7 @@ class TestWavefunctionCommand:
 
     def test_low_coulomb_energy_warns_then_fails_precisely(self, capsys):
         # E = 1e-3 prints with a warning; E = 1e-8 exits 3 at once, naming
-        # delta and its bound, where it used to stall on 6,000 panels
+        # delta and its bound
         base = ("wavefunction", "--kind", "coulomb3d_cont", "--grid", "1,3,2")
         with pytest.warns(ce.PrecisionLoss, match="real integral at xi = ") as record:
             code, _, _ = run(capsys, *base, "--param", "E=1e-3")

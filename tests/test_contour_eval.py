@@ -510,15 +510,14 @@ class TestPhiValuesDispatch:
         assert seen == [{"tol": 1e-6}, {"tol": 1e-15}]
         assert loose[0] == pytest.approx(tight[0], rel=1e-5)
 
-    @pytest.mark.parametrize("kind,method", [
-        (Kind.COULOMB3D_CONT, Method.REAL_INTEGRAL),
-        (Kind.COULOMB3D_CONT, Method.CIRCLE),
-        (Kind.COULOMB3D, Method.RESIDUE),
-        (Kind.SHO1D_HERMITE, Method.RESIDUE),
+    @pytest.mark.parametrize("kind,energy,method", [
+        (Kind.COULOMB3D_CONT, 1.0, Method.REAL_INTEGRAL),
+        (Kind.COULOMB3D_CONT, 1.0, Method.CIRCLE),
+        (Kind.COULOMB3D, -0.5, Method.RESIDUE),
+        (Kind.SHO1D_HERMITE, 2.5, Method.RESIDUE),
     ])
-    def test_tolerance_rejected_where_ignored(self, kind, method):
+    def test_tolerance_rejected_where_ignored(self, kind, energy, method):
         # these routes size their own rule or are closed forms
-        energy = 1.0 if kind is Kind.COULOMB3D_CONT else 2.5 if kind is Kind.SHO1D_HERMITE else -0.5
         with pytest.raises(ValueError, match=f"method {method.value} takes no tol"):
             phi_values(ProblemSpec(kind=kind), energy, [1.0], method, tol=1e-12)
 

@@ -123,7 +123,7 @@ TRUTH = {
 # point of these grids, so no node inflates the relative error.
 BOUNDS = {
     "validate_coulomb3d_cont.csv": {
-        "real_integral": 1.6e-12,  # measured 1.55e-13 (5.67e-11 by adaptive Gauss)
+        "real_integral": 1.6e-12,  # measured 1.55e-13
         "circle": 9.7e-11,  # measured 9.70e-12
         "series": 3.0e-9,  # measured 2.98e-10
     },
