@@ -32,8 +32,16 @@ from .core_laplace import (
     log_terms,
 )
 from .special_fn import (
-    _GL_NODES,
-    _GL_WEIGHTS,
+    _HALVINGS,
+    _RAY_H0,
+    _RAY_LEVELS,
+    PrecisionLoss,
+    _converged,
+    _de_abscissae,
+    _frozen,
+    _nested,
+    _segment_panels,
+    _warn_inexact,
     gamma_complex,
     hermite,
     kummer_m,
@@ -47,10 +55,6 @@ class NonIntegerOrder(ValueError):
 
 class MethodRegimeMismatch(ValueError):
     """Evaluation method incompatible with the problem's regime."""
-
-
-class PrecisionLoss(RuntimeWarning):
-    """Result returned, but cancellation has likely eaten the tolerance."""
 
 
 class Method(enum.Enum):
@@ -199,45 +203,6 @@ def _bracket_coefficient(ode: CanonicalODE, exps: Exponents) -> complex:
         ) from None
 
 
-_EPS = float(np.finfo(float).eps)
-_PRECISION_LOSS = 1e-6  # eps * sum|summand| / |sum| above this warns
-_HALVINGS = 6  # a double-exponential rule halves its step at most this often
-
-
-def _de_abscissae(lo: float, hi: float, h0: float):
-    """s nodes of a rule on [lo, hi], nested level by level.
-
-    Level 0 holds every multiple of h0 from lo; level k holds only the odd
-    multiples of h0 / 2^k, the nodes the halving adds.
-    """
-    n0 = round((hi - lo) / h0)
-    levels = [lo + h0 * np.arange(n0 + 1)]
-    for k in range(1, _HALVINGS + 1):
-        h = h0 / 2**k
-        levels.append(lo + h * np.arange(1, n0 * 2**k, 2))
-    return levels
-
-
-def _frozen(*arrays):
-    """The arrays, made read-only, as a tuple."""
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
-def _ray_nodes(s):
-    """exp-sinh log u and log du/ds, from s, with u = 2 xi t = e^{(pi/2) sinh s}.
-
-    t = u / (2 xi), so both logs shift by -log(2 xi) per xi.
-    """
-    log_u = 0.5 * math.pi * np.sinh(s)
-    return _frozen(log_u, log_u + np.log(0.5 * math.pi * np.cosh(s)))
-
-
-_RAY_H0 = 0.2
-_RAY_LEVELS = tuple(_ray_nodes(s) for s in _de_abscissae(-6.0, 4.0, _RAY_H0))
-
-
 def _segment_nodes(s):
     """tanh-sinh x in (0, 1), log x, log(1 - x) and log dx/ds, from s."""
     v = math.pi * np.sinh(s)
@@ -258,7 +223,7 @@ def _segment_log_integrand(exps: Exponents, xi: float, x, log_x, log_1mx):
 
 
 def _ray_sum(exps: Exponents, xi: float, level: int):
-    """(sum, sum of |summand|) of one level's new nodes on the two rays.
+    """(sum, sum of |summand|) of one level's new nodes on the two rays, t = u / (2 xi).
 
     int_0^1 = i int_0^inf [f(it) - f(1 + it)] dt; on x = it, Log x =
     ln t + i pi/2, and on x = 1 + it, Log(1 - x) = ln t - i pi/2.
@@ -282,46 +247,6 @@ def _tanh_sinh_sum(exps: Exponents, xi: float, level: int):
     with np.errstate(under="ignore"):
         summand = np.exp(_segment_log_integrand(exps, xi, x, log_x, log_1mx) + log_dx)
     return np.sum(summand), np.sum(np.abs(summand))
-
-
-def _nested(levels):
-    """Running (sum, sum of |summand|) of a rule whose step halves per level.
-
-    levels yields (h, sum, sum of |summand|) over the nodes each level adds,
-    coarsest first: T_2m = T_m / 2 + h_2m * sum over the new nodes.
-    """
-    total = mass = None
-    for h, part, part_mass in levels:
-        if total is None:
-            total, mass = part * h, part_mass * h
-        else:
-            total, mass = 0.5 * total + h * part, 0.5 * mass + h * part_mass
-        yield total, mass
-
-
-def _converged(estimates):
-    """(sum, sum of |summand|, converged) at the first estimate agreeing with the one before.
-
-    estimates yields both sums of successively finer rules.  Two successive
-    sums agree when they differ by at most 1e-13 relative or by the rounding
-    floor 8 eps * sum|summand| that the finer sum already carries.  A
-    non-finite sum stops at once; without agreement the last estimate is the
-    answer, with converged False.
-    """
-    prev = None
-    for total, mass in estimates:
-        if not cmath.isfinite(total):
-            return total, mass, False
-        if prev is not None and abs(total - prev) <= max(1e-13 * abs(total), 8.0 * _EPS * mass):
-            return total, mass, True
-        prev = total
-    return total, mass, False
-
-
-def _rounding_loss(total, mass) -> float:
-    """eps * sum|summand| / |sum|: the relative rounding error a sum carries."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return float(_EPS * mass / np.abs(total))
 
 
 def continuum_phi_real_integral(ode: CanonicalODE, exps: Exponents, xi: float) -> complex:
@@ -350,15 +275,7 @@ def continuum_phi_real_integral(ode: CanonicalODE, exps: Exponents, xi: float) -
         rule, level_sum = _SEGMENT_H0, _tanh_sinh_sum
     levels = ((rule / 2**k, *level_sum(exps, xi, k)) for k in range(_HALVINGS + 1))
     total, mass, converged = _converged(_nested(levels))
-    loss = _rounding_loss(total, mass)
-    if not (converged and loss <= _PRECISION_LOSS):
-        if not cmath.isfinite(total):
-            detail = "is not finite"
-        elif not converged:
-            detail = "did not converge at the finest step"
-        else:
-            detail = f"carries a relative rounding error of {loss:.2g}"
-        warnings.warn(f"real integral at xi = {xi:.3g} {detail}", PrecisionLoss, stacklevel=2)
+    _warn_inexact(f"real integral at xi = {xi:.3g}", total, mass, converged)
     beta = exps.alpha_plus + exps.alpha_minus
     pref = edge * cmath.exp((beta - 1.0) * math.log(2.0))
     return pref * cmath.exp(-1j * xi) * total
@@ -414,16 +331,6 @@ def _circle_terms(ode: CanonicalODE, exps: Exponents, radius_R: float, steps: in
     z = radius_R * np.exp(1j * (theta + 0.5 * math.pi))
     phases = (phase_phi1(theta, radius_R), phase_phi2(theta, radius_R))
     return _frozen(z, *log_terms(ode, exps, z, phases)[:2])
-
-
-@functools.lru_cache(maxsize=16)
-def _segment_panels(panels: int):
-    """Nodes and weights of `panels` 20-point Gauss-Legendre panels on [-1, 1], read-only."""
-    half = 1.0 / panels
-    mids = half * (2.0 * np.arange(panels) + 1.0) - 1.0
-    y = (mids[:, None] + half * _GL_NODES).ravel()
-    w = np.tile(half * _GL_WEIGHTS, panels)
-    return _frozen(y, w)
 
 
 def _circle_levels(steps: int):
@@ -494,11 +401,7 @@ def continuum_phi_circle(
         levels = _circle_level_sums(ode, exps, r, _circle_levels(n), xi)
         total, mass, _ = _converged(_nested(levels))
         value = total * convention.reference_point_phase
-    loss = _rounding_loss(total, mass)
-    if not loss <= _PRECISION_LOSS:
-        detail = (f"carries a relative rounding error of {loss:.2g}"
-                  if cmath.isfinite(total) else "is not finite")
-        warnings.warn(f"circle sum at R*xi = {r * xi:.3g} {detail}", PrecisionLoss, stacklevel=2)
+    _warn_inexact(f"circle sum at R*xi = {r * xi:.3g}", total, mass)
     return complex(value)
 
 
@@ -558,16 +461,14 @@ def continuum_phi_series(
 # ---------------------------------------------------------------------------
 # Morse continuum: ray route
 
-def morse_continuum_phi(
-    ode: CanonicalODE, exps: Exponents, xi: float, tol: float = 1e-10
-) -> complex:
+def morse_continuum_phi(ode: CanonicalODE, exps: Exponents, xi: float) -> complex:
     """Phi from the ray z = -lambda - t, t in (0, inf).
 
     Collapses to (-1)^(beta-1) Gamma(alpha_minus) e^{-xi/2}
     U(alpha_minus, beta, xi) with (-1)^(beta-1) = e^{i pi (beta-1)}.
-    Re(alpha_minus) may be nonpositive; the U evaluator continues its
-    integral analytically rather than falling back to the cancellation-prone
-    two-term expansion.
+    Re(alpha_minus) may be nonpositive: past its Kummer crossover
+    tricomi_u sums U's Hankel loop, which holds for any alpha_minus, and
+    sizes its rule by convergence, so the route takes no tolerance.
     """
     if ode.regime is not Regime.MORSE_CONTINUUM:
         raise MethodRegimeMismatch("ray route applies to the Morse continuum")
@@ -575,7 +476,7 @@ def morse_continuum_phi(
     if xi <= 0:
         raise ValueError("Morse xi must be positive")
     pref = cmath.exp(1j * math.pi * (ode.beta - 1.0)) * gamma_complex(exps.alpha_minus)
-    return pref * math.exp(-0.5 * xi) * tricomi_u(exps.alpha_minus, ode.beta, xi, tol)
+    return pref * math.exp(-0.5 * xi) * tricomi_u(exps.alpha_minus, ode.beta, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -584,10 +485,6 @@ def morse_continuum_phi(
 def _check_method(spec: catalog.ProblemSpec, method: Method):
     if method not in ROUTES[spec.kind]:
         raise MethodRegimeMismatch(f"method {method.value} not valid for {spec.kind.value}")
-
-
-# the routes whose accuracy a caller's tol sets
-_TOL_METHODS = (Method.SERIES, Method.MORSE_RAY)
 
 
 def _point_route(ode: CanonicalODE, exps: Exponents, method: Method,
@@ -618,11 +515,11 @@ def phi_values(
     in order. Evaluation stops at the first point that fails, and a
     non-finite value is a failure (FloatingPointError naming the route and
     xi). That point's exception propagates with its index in ``.point``.
-    tol is the series' or the Morse ray's tolerance; any other method
-    sizes its own rule and rejects it (ValueError).
+    tol is the series' tolerance; every other method sizes its own rule
+    and rejects it (ValueError).
     """
     _check_method(spec, method)
-    if tol is not None and method not in _TOL_METHODS:
+    if tol is not None and method is not Method.SERIES:
         raise ValueError(f"method {method.value} takes no tol")
     xs = np.asarray(xi_values, dtype=float)
     route = None

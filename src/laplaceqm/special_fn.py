@@ -1,9 +1,10 @@
 """Special functions backing the contour solver.
 
-Closed-form Laguerre/Hermite polynomials (valid for arbitrary real
-superscript, including values at and below -1), a Lanczos complex Gamma,
-the confluent hypergeometric pair M and U, and a small adaptive
-Gauss-Legendre engine that Tricomi U integrates with.
+Closed-form Hermite polynomials, a Lanczos complex Gamma, the confluent
+hypergeometric pair M and U, and the quadrature engine that Tricomi U and
+the continuum routes share: nested exp-sinh node tables, Gauss-Legendre
+panels, a stop at the first two estimates that agree, and a PrecisionLoss
+warning from the measured rounding error.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -30,6 +32,10 @@ class SeriesDivergence(ArithmeticError):
 
 class QuadratureFailure(ArithmeticError):
     """Adaptive quadrature could not reach the requested tolerance."""
+
+
+class PrecisionLoss(RuntimeWarning):
+    """Result returned, but cancellation has likely eaten the tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -69,34 +75,7 @@ def gamma_complex(z) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Orthogonal-polynomial closed forms
-
-@lru_cache(maxsize=None)
-def _laguerre_coeff_tuple(order: int, superscript: float):
-    out = []
-    for k in range(order + 1):
-        binom = 1.0  # C(order+b, order-k) as a running product: safe for b <= -1
-        for i in range(1, order - k + 1):
-            binom *= (superscript + k + i) / i
-        out.append((-1.0) ** k / math.factorial(k) * binom)
-    return tuple(out)
-
-
-def laguerre_coefficients(order: int, superscript: float) -> np.ndarray:
-    """Ascending coefficients of L_N^(b); b may be any real number."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    return np.array(_laguerre_coeff_tuple(order, float(superscript)))
-
-
-def laguerre(order: int, superscript: float, x):
-    """Generalized Laguerre L_N^(b)(x) from the closed-form coefficients."""
-    c = _laguerre_coeff_tuple(order, float(superscript))
-    acc = 0.0 * np.asarray(x, dtype=float) + c[-1]
-    for k in range(order - 1, -1, -1):
-        acc = acc * x + c[k]
-    return acc if np.ndim(x) else float(acc)
-
+# Hermite closed form
 
 @lru_cache(maxsize=None)
 def hermite_coefficients(n: int):
@@ -121,20 +100,6 @@ def hermite(n: int, x):
     for k in range(n - 1, -1, -1):
         acc = acc * x + c[k]
     return acc if np.ndim(x) else float(acc)
-
-
-def laguerre_hermite_identity_residual(n: int, x):
-    """Pointwise defect of both halves of the Hermite-Laguerre reduction.
-
-    Even half: H_{2n}(x) - (-4)^n n! L_n^(-1/2)(x^2); odd half:
-    H_{2n+1}(x) - 2(-4)^n n! x L_n^(1/2)(x^2). Returns the larger |defect|.
-    """
-    scale = (-4.0) ** n * math.factorial(n)
-    xs = np.asarray(x, dtype=float)
-    even = hermite(2 * n, xs) - scale * laguerre(n, -0.5, xs * xs)
-    odd = hermite(2 * n + 1, xs) - 2.0 * scale * xs * laguerre(n, 0.5, xs * xs)
-    res = np.maximum(np.abs(even), np.abs(odd))
-    return res if np.ndim(x) else float(res)
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +141,112 @@ def kummer_m(a, b, z, tol: float = 1e-15) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Adaptive composite Gauss-Legendre (Tricomi U's integral)
+# Quadrature engine: nested double-exponential levels, Gauss-Legendre panels
+
+_EPS = float(np.finfo(float).eps)
+_PRECISION_LOSS = 1e-6  # eps * sum|summand| / |sum| above this warns
+_HALVINGS = 6  # a double-exponential rule halves its step at most this often
+
+
+def _de_abscissae(lo: float, hi: float, h0: float):
+    """s nodes of a rule on [lo, hi], nested level by level.
+
+    Level 0 holds every multiple of h0 from lo; level k holds only the odd
+    multiples of h0 / 2^k, the nodes the halving adds.
+    """
+    n0 = round((hi - lo) / h0)
+    levels = [lo + h0 * np.arange(n0 + 1)]
+    for k in range(1, _HALVINGS + 1):
+        h = h0 / 2**k
+        levels.append(lo + h * np.arange(1, n0 * 2**k, 2))
+    return levels
+
+
+def _frozen(*arrays):
+    """The arrays, made read-only, as a tuple."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _ray_nodes(s):
+    """exp-sinh log u and log du/ds, from s, with u = e^{(pi/2) sinh s} in (0, inf)."""
+    log_u = 0.5 * math.pi * np.sinh(s)
+    return _frozen(log_u, log_u + np.log(0.5 * math.pi * np.cosh(s)))
+
+
+_RAY_H0 = 0.2
+_RAY_LEVELS = tuple(_ray_nodes(s) for s in _de_abscissae(-6.0, 4.0, _RAY_H0))
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
+
+@lru_cache(maxsize=16)
+def _segment_panels(panels: int):
+    """Nodes and weights of `panels` 20-point Gauss-Legendre panels on [-1, 1], read-only."""
+    half = 1.0 / panels
+    mids = half * (2.0 * np.arange(panels) + 1.0) - 1.0
+    y = (mids[:, None] + half * _GL_NODES).ravel()
+    w = np.tile(half * _GL_WEIGHTS, panels)
+    return _frozen(y, w)
+
+
+def _nested(levels):
+    """Running (sum, sum of |summand|) of a rule whose step halves per level.
+
+    levels yields (h, sum, sum of |summand|) over the nodes each level adds,
+    coarsest first: T_2m = T_m / 2 + h_2m * sum over the new nodes.
+    """
+    total = mass = None
+    for h, part, part_mass in levels:
+        if total is None:
+            total, mass = part * h, part_mass * h
+        else:
+            total, mass = 0.5 * total + h * part, 0.5 * mass + h * part_mass
+        yield total, mass
+
+
+def _converged(estimates):
+    """(sum, sum of |summand|, converged) at the first estimate agreeing with the one before.
+
+    estimates yields both sums of successively finer rules.  Two successive
+    sums agree when they differ by at most 1e-13 relative or by the rounding
+    floor 8 eps * sum|summand| that the finer sum already carries.  A
+    non-finite sum stops at once; without agreement the last estimate is the
+    answer, with converged False.
+    """
+    prev = None
+    for total, mass in estimates:
+        if not cmath.isfinite(total):
+            return total, mass, False
+        if prev is not None and abs(total - prev) <= max(1e-13 * abs(total), 8.0 * _EPS * mass):
+            return total, mass, True
+        prev = total
+    return total, mass, False
+
+
+def _warn_inexact(what: str, total, mass, converged: bool = True) -> None:
+    """Warn PrecisionLoss about what, at the caller's caller, for an inexact sum.
+
+    Inexact means not finite, not converged, or carrying a relative rounding
+    error eps * sum|summand| / |sum| above 1e-6.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        loss = float(_EPS * mass / np.abs(total))
+    if converged and loss <= _PRECISION_LOSS:
+        return
+    if not cmath.isfinite(total):
+        detail = "is not finite"
+    elif not converged:
+        detail = "did not converge at the finest step"
+    else:
+        detail = f"carries a relative rounding error of {loss:.2g}"
+    warnings.warn(f"{what} {detail}", PrecisionLoss, stacklevel=3)
+
+
+# ---------------------------------------------------------------------------
+# Adaptive composite Gauss-Legendre (no caller in the package; the
+# benchmark's tracer in perfbench/ wraps it by name)
 
 def _panel(f, lo: float, hi: float):
     mid = 0.5 * (lo + hi)
@@ -252,25 +319,57 @@ def _tricomi_u_kummer(a: complex, b: complex, x: float) -> complex:
     return t1 + t2
 
 
-def tricomi_u(a, b, x, tol: float = 1e-10) -> complex:
+def _u_ray_sum(a: complex, b: complex, x: float, r: float, level: int):
+    """(sum, sum of |summand|) of one level's new nodes on the ray t = r + u / x, arg t = 0.
+
+    The summand is e^{-x t} t^(a-1) (1+t)^(b-a-1) dt/ds, taken as exp(log).
+    """
+    log_u, log_du = _RAY_LEVELS[level]
+    log_x = math.log(x)
+    t = r + np.exp(log_u - log_x)
+    with np.errstate(under="ignore"):
+        summand = np.exp(-x * t + (a - 1.0) * np.log(t) + (b - a - 1.0) * np.log1p(t)
+                         + (log_du - log_x))
+    return np.sum(summand), np.sum(np.abs(summand))
+
+
+def _u_circle_sum(a: complex, b: complex, x: float, r: float, panels: int):
+    """(sum, sum of |summand|) of Gauss-Legendre panels on t = r e^{i theta}, theta in [0, 2 pi].
+
+    The summand is i e^{-x t} t^a (1+t)^(b-a-1) d theta, log t = ln r + i theta.
+    """
+    y, w = _segment_panels(panels)
+    theta = math.pi * (1.0 + y)
+    t = r * np.exp(1j * theta)
+    with np.errstate(under="ignore"):
+        summand = (1j * math.pi) * w * np.exp(
+            -x * t + a * (math.log(r) + 1j * theta) + (b - a - 1.0) * np.log1p(t))
+    return np.sum(summand), np.sum(np.abs(summand))
+
+
+def tricomi_u(a, b, x) -> complex:
     """Tricomi's U(a, b, x) for real x > 0.
 
-    Two complementary evaluations, switched on x.  For moderate x the
-    two-M connection formula is used (M summed in extended precision); its
-    e^x-sized cancellation is harmless there.  For large x the Laplace-type
-    integral takes over: after t = s/(1-s),
-        Gamma(a) U(a, b, x) = int_0^1 e^{-x s/(1-s)} s^{a-1} (1-s)^{-b} ds,
-    with the s=0 end continued to Re(a) <= 0 by subtracting a short Taylor
-    polynomial of the regular factor and integrating it in closed form.
-    The crossover grows with Im(b - a) because the integral's subtraction
-    pieces stay O(1) while U itself shrinks like e^{-pi Im(b-a)/2}.
+    Up to the crossover x = 13 + 1.5 |Im(b - a)| (and b not near an integer)
+    the two-M connection formula is used, M summed in extended precision.
+    Past it, or where that raises, U's own Laplace-type integrals of
+    f(t) = e^{-x t} t^(a-1) (1+t)^(b-a-1) run on the quadrature engine.
+    For Re a > 1/2, Gamma(a) U = int_0^inf f dt (DLMF 13.4.4) on the
+    exp-sinh ray t = u / x (the table stops at u ~ e^{-317}, and the part
+    it cuts off, ~u^a, is below rounding only for Re a not near 0).
+    Otherwise the Hankel loop (DLMF 13.4.14)
+    U = e^{-i pi a} Gamma(1-a) / (2 pi i) int_inf^(0+) f dt, which holds for
+    any such a: the ray t = r + u / x, weighted by e^{2 pi i a} - 1, plus the
+    circle |t| = r, r = min(1/2, |a-1| / x), through the saddle point
+    (a-1)/x of e^{-x t} t^(a-1) and clear of t = -1.  The ray halves its step
+    and the circle doubles its panels until two estimates agree;
+    PrecisionLoss is warned when either does not, or when the rounding error
+    eps * sum|summand| exceeds 1e-6 of the sum (small x with Re a << 0, where
+    the circle is held at r = 1/2, far from the saddle point).
     """
     if not x > 0.0:
         raise ValueError("x must be positive")
-    a = complex(a)
-    b = complex(b)
-    x = float(x)
-
+    a, b, x = complex(a), complex(b), float(x)
     crossover = 13.0 + 1.5 * abs((b - a).imag)
     b_near_pole = abs(b - complex(round(b.real))) < 0.05
     if x <= crossover and not b_near_pole:
@@ -278,49 +377,22 @@ def tricomi_u(a, b, x, tol: float = 1e-10) -> complex:
             return _tricomi_u_kummer(a, b, x)
         except (PoleError, SeriesDivergence):
             pass  # fall through to the integral
-    n_sub = max(0, math.ceil(1.5 - a.real))
-    for j in range(n_sub):
-        if abs(a + j) < 1e-12:
-            raise QuadratureFailure(
-                f"continuation pole at a={a:g}; integer-a continuation not provided"
-            )
 
-    # Taylor coefficients of g(s) = e^{-x s/(1-s)} (1-s)^{-b} at s=0:
-    # (j+1) c_{j+1} = (b - x + 2j) c_j - (b + j - 1) c_{j-1}
-    c = [complex(1.0)]
-    for j in range(n_sub):
-        prev = c[j - 1] if j >= 1 else 0.0
-        c.append(((b - x + 2.0 * j) * c[j] - (b + j - 1.0) * prev) / (j + 1.0))
+    def ray(r):
+        levels = ((_RAY_H0 / 2**k, *_u_ray_sum(a, b, x, r, k)) for k in range(_HALVINGS + 1))
+        return _converged(_nested(levels))
 
-    split = 0.5 if x <= 2.0 * max(n_sub, 1) else max(n_sub, 1) / x
-
-    def g_log(s):
-        return -x * s / (1.0 - s) - b * np.log1p(-s)
-
-    def integrand_main(s):
-        logv = g_log(s) + (a - 1.0) * np.log(s)
-        out = np.exp(np.where(logv.real < -745.0, -745.0, logv))
-        out[logv.real < -745.0] = 0.0
-        return out
-
-    def integrand_subtracted(s):
-        s_x = s.astype(np.longdouble)
-        g = np.exp((-x * s_x / (1.0 - s_x)).astype(np.clongdouble)
-                   - np.clongdouble(b) * np.log1p(-s_x).astype(np.clongdouble))
-        taylor = np.zeros_like(g)
-        for j in range(n_sub - 1, -1, -1):
-            taylor = taylor * s_x + np.clongdouble(c[j])
-        power = np.exp(np.clongdouble(a - 1.0) * np.log(s_x).astype(np.clongdouble))
-        return ((g - taylor) * power).astype(complex)
-
-    analytic = complex(0.0)
-    for j in range(n_sub):
-        analytic += c[j] * cmath.exp((a + j) * math.log(split)) / (a + j)
-
-    if n_sub:
-        near = _adaptive_gauss(integrand_subtracted, 0.0, split, tol)
+    if a.real > 0.5:
+        total, mass, converged = ray(0.0)
+        value = total / gamma_complex(a)
     else:
-        near = _adaptive_gauss(integrand_main, 0.0, split, tol)
-        analytic = 0.0
-    far = _adaptive_gauss(integrand_main, split, 1.0, tol)
-    return (analytic + near + far) / gamma_complex(a)
+        r = min(0.5, abs(a - 1.0) / x)
+        line, line_mass, line_ok = ray(r)
+        circle, circle_mass, circle_ok = _converged(
+            _u_circle_sum(a, b, x, r, 2**k) for k in range(_HALVINGS + 1))
+        weight = cmath.exp(2j * math.pi * a) - 1.0
+        total, mass = weight * line + circle, abs(weight) * line_mass + circle_mass
+        converged = line_ok and circle_ok
+        value = cmath.exp(-1j * math.pi * a) * gamma_complex(1.0 - a) / (2j * math.pi) * total
+    _warn_inexact(f"tricomi_u at a = {a:.6g}, b = {b:.6g}, x = {x:.6g}", total, mass, converged)
+    return value

@@ -8,6 +8,7 @@ finite-difference residuals of the canonical ODE, and closed-form oracles
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -28,6 +29,7 @@ from .potential_catalog import (
     n_start,
     residue_lattice_energy,
 )
+from .special_fn import PrecisionLoss
 
 _REFERENCE_FLOOR = 1e-12  # below this the reference is treated as a zero crossing
 _ONSET_THRESHOLD = 1e-3
@@ -39,14 +41,16 @@ class ComparisonReport:
     """Route-against-route comparison on one grid.
 
     Deviations are measured against the reference route (the real segment
-    integral) and only where its magnitude exceeds a floor, so zero crossings
-    do not inflate the statistics.  pairwise_rel_dev[(a, b)] holds
+    integral) and only where its magnitude exceeds a floor and it neither
+    failed nor warned PrecisionLoss, so zero crossings and garbage do not
+    inflate the statistics.  pairwise_rel_dev[(a, b)] holds
     |Phi_a - Phi_b| / |Phi_ref| at each grid point, NaN where the reference or
     either value is unusable; pairwise_max_rel_dev is its maximum over all
     pairs, NaN when no point is usable (a comparison of nothing shows no
     agreement).  failure_onset_xi[m] is the smallest grid xi at which route m
     deviates from the reference by more than 1e-3 relative at three
-    consecutive valid points, or None if it never does.
+    consecutive usable points, or None if it never does; for the reference
+    itself it is the first grid xi where it failed or warned PrecisionLoss.
     """
 
     problem: ProblemSpec
@@ -79,6 +83,19 @@ def _onset(
     return None
 
 
+def _noting_precision_loss(evaluate) -> Tuple[complex, bool]:
+    """(evaluate(), whether it warned PrecisionLoss); its warnings are passed on."""
+    caught: list = []
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", PrecisionLoss)
+            value = evaluate()
+    finally:
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
+    return value, any(issubclass(w.category, PrecisionLoss) for w in caught)
+
+
 def cross_method_report(
     spec: ProblemSpec,
     energy: float,
@@ -98,17 +115,24 @@ def cross_method_report(
     methods = ROUTES[spec.kind]
     xi = np.asarray(list(grid), dtype=float)
     values: Dict[Method, np.ndarray] = {}
+    warned = np.zeros(xi.shape, dtype=bool)  # where the reference warned PrecisionLoss
     for m in methods:
         out = np.empty(xi.shape, dtype=complex)
         for i, x in enumerate(xi):
+            def evaluate():
+                return phi_values(spec, energy, np.array([x]), m, config=cfg)[0]
             try:
-                out[i] = phi_values(spec, energy, np.array([x]), m, config=cfg)[0]
+                if m is Method.REAL_INTEGRAL:
+                    out[i], warned[i] = _noting_precision_loss(evaluate)
+                else:
+                    out[i] = evaluate()
             except Exception:
                 out[i] = complex(np.nan, np.nan)
         values[m] = out
 
     ref = values[Method.REAL_INTEGRAL]
-    ok = np.isfinite(ref) & (np.abs(ref) > _REFERENCE_FLOOR)
+    reliable = np.isfinite(ref) & ~warned
+    ok = reliable & (np.abs(ref) > _REFERENCE_FLOOR)
     deviations: Dict[Tuple[Method, Method], np.ndarray] = {}
     for i, a in enumerate(methods):
         for b in methods[i + 1 :]:
@@ -121,9 +145,12 @@ def cross_method_report(
     usable = stacked[~np.isnan(stacked)]
     worst = float(np.max(usable)) if usable.size else math.nan
 
-    onsets: Dict[Method, Optional[float]] = {Method.REAL_INTEGRAL: None}
+    first_unreliable = np.flatnonzero(~reliable)
+    onsets: Dict[Method, Optional[float]] = {
+        Method.REAL_INTEGRAL: float(xi[first_unreliable[0]]) if first_unreliable.size else None
+    }
     for m in (Method.CIRCLE, Method.SERIES):
-        onsets[m] = _onset(xi, values[m], ref)
+        onsets[m] = _onset(xi, values[m], np.where(reliable, ref, np.nan))
 
     return ComparisonReport(
         problem=spec,

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: exit codes, CSV contracts, config handling."""
 
+import cmath
 import math
 import shutil
 import subprocess
@@ -7,6 +8,7 @@ import subprocess
 import pytest
 
 import laplaceqm.contour_eval as ce
+import laplaceqm.special_fn as sf
 from laplaceqm.cli import (
     ConfigError,
     _format_cell,
@@ -184,6 +186,112 @@ class TestCircleMemo:
         assert sum(built) <= 6250
 
 
+# (Re Phi, Im Phi, scale) of the deep Morse well V0 = 40, E = 1 (mu = a = 1)
+# at the 61 points of --grid=-0.9225,5.618,61, xi = 45.0 down to 0.065, from
+# mpmath at 40 digits: Phi = e^{i pi (beta-1)} Gamma(a) e^{-xi/2} U(a, beta, xi)
+# with beta = 1 + 2 sqrt(2) i, a = beta/2 - sqrt(80), and
+# scale = sqrt(|Phi|^2 + |xi dPhi/dxi|^2), dU/dxi = -a U(a+1, beta+1, xi)
+DEEP_WELL_TRUTH = (
+    (1.0912088392677098e-07, 1.8518490442138274e-07, 2.4697316985361776e-06),
+    (2.3325228602161872e-07, 5.8684966517881606e-07, 5.4306489591792275e-06),
+    (2.9946013674935573e-07, 1.3134814112194817e-06, 7.7107693363284596e-06),
+    (1.4342597935388235e-07, 2.0456792918967060e-06, 5.6694969325193108e-06),
+    (-1.7339297716604031e-07, 2.0553144699718254e-06, 6.1790107531459099e-06),
+    (-2.1885028330855335e-07, 9.0083299713804315e-07, 1.5078970388148774e-05),
+    (3.2201265868245404e-07, -7.7787594779256162e-07, 1.5256508540748665e-05),
+    (9.8824151328360404e-07, -1.6240577596937219e-06, 4.1958766635619992e-06),
+    (8.3954223597499598e-07, -9.9510631748151849e-07, 1.2964069529539696e-05),
+    (-3.4600813492140130e-07, 3.0092736672771301e-07, 1.6890532890601840e-05),
+    (-1.5337129169834227e-06, 9.6512384611318624e-07, 6.7485521221661072e-06),
+    (-1.4485192915499865e-06, 6.2527946052228337e-07, 1.0215066239165336e-05),
+    (3.8214626457218130e-09, -9.8940294735535699e-10, 1.6916991710084623e-05),
+    (1.5871844986696330e-06, -1.5793965965071425e-07, 1.0596279075618127e-05),
+    (1.9575814144641984e-06, 1.0773296782266510e-07, 5.1215752113652925e-06),
+    (8.7259139586676123e-07, 1.8520126052614654e-07, 1.4487573383816522e-05),
+    (-7.4739289641722227e-07, -2.8414048580087147e-07, 1.4855858850998137e-05),
+    (-1.7322674286417095e-06, -9.8599960023850690e-07, 6.9402554143455620e-06),
+    (-1.5721823831685008e-06, -1.2497253738093356e-06, 6.5943026582734017e-06),
+    (-6.1982309720278436e-07, -6.7202321465408373e-07, 1.3523069907259044e-05),
+    (3.6478403543037118e-07, 5.4381268173112997e-07, 1.4162306121380905e-05),
+    (8.1526177317416086e-07, 1.7467001930787070e-06, 9.0411943117648904e-06),
+    (6.6246293049220746e-07, 2.2820330975722949e-06, 4.1295883506368050e-06),
+    (2.4138284196218611e-07, 1.8700498862720661e-06, 8.8749305490603317e-06),
+    (-1.8229988211164736e-08, 7.0663583355008586e-07, 1.2719120003059378e-05),
+    (1.2765995484715178e-07, -7.0173055021987351e-07, 1.2743353200332559e-05),
+    (6.3069324721298910e-07, -1.8168853171840578e-06, 9.6149978620986873e-06),
+    (1.2213442061139199e-06, -2.2993238559266146e-06, 5.5685575286706930e-06),
+    (1.5726000427315416e-06, -2.1014558718569333e-06, 5.3362919164508714e-06),
+    (1.4558510261610922e-06, -1.4236006501299129e-06, 8.4914421750921385e-06),
+    (8.2480955371355289e-07, -5.8888552627221246e-07, 1.0815712559712624e-05),
+    (-1.8676675695477674e-07, 9.3904272430933728e-08, 1.1399474528383718e-05),
+    (-1.3304487663896903e-06, 4.2869695004265909e-07, 1.0408141984229278e-05),
+    (-2.3333076636530922e-06, 3.7069479919397974e-07, 8.4439630465126709e-06),
+    (-2.9781789583719184e-06, 1.0105402037588172e-08, 6.4219409252325796e-06),
+    (-3.1529411781715525e-06, -4.7899727900763830e-07, 5.5240023332354869e-06),
+    (-2.8630053239300238e-06, -9.0111713233289902e-07, 6.2201374980852761e-06),
+    (-2.2128442196864497e-06, -1.0938442392888900e-06, 7.5596529279483650e-06),
+    (-1.3684826915236708e-06, -9.6309590092815657e-07, 8.6978118051640037e-06),
+    (-5.1392002358429483e-07, -4.9575801474500659e-07, 9.3303887145772538e-06),
+    (1.8788490982879059e-07, 2.4754948003426951e-07, 9.4313023368083445e-06),
+    (6.2274688099446284e-07, 1.1534315121429552e-06, 9.1034803314791497e-06),
+    (7.3902563768591910e-07, 2.0832241832169747e-06, 8.5110222799152601e-06),
+    (5.4803878448299572e-07, 2.9005776876709914e-06, 7.8397424924566398e-06),
+    (1.1388113423125815e-07, 3.4943197503657226e-06, 7.2632974020595448e-06),
+    (-4.6354473317705302e-07, 3.7937976694555423e-06, 6.9038700261686354e-06),
+    (-1.0683556148215726e-06, 3.7757585241611499e-06, 6.7969840970623574e-06),
+    (-1.5879423586172376e-06, 3.4633022646800511e-06, 6.8917826905902087e-06),
+    (-1.9290708404902728e-06, 2.9184370911111933e-06, 7.0944392602220005e-06),
+    (-2.0292170766570105e-06, 2.2302945356580902e-06, 7.3172253527620117e-06),
+    (-1.8624515797538726e-06, 1.5011973848563373e-06, 7.5028315320844873e-06),
+    (-1.4399743920569596e-06, 8.3261600306093513e-07, 7.6264390074828902e-06),
+    (-8.0599923499784829e-07, 3.1269775804891844e-07, 7.6883099815633060e-06),
+    (-3.0081120215724920e-08, 6.5981472905161290e-09, 7.7044698469129183e-06),
+    (8.0281159501086933e-07, -4.9648423024184228e-08, 7.6980238228854959e-06),
+    (1.6031371094014241e-06, 1.4854728981068190e-07, 7.6917645174824392e-06),
+    (2.2872783543819032e-06, 5.7565830767765961e-07, 7.7025198677431703e-06),
+    (2.7866350427180523e-06, 1.1805317733453681e-06, 7.7378407477984602e-06),
+    (3.0545016014553504e-06, 1.8933005297145969e-06, 7.7954211459553378e-06),
+    (3.0702166365114220e-06, 2.6338227553253387e-06, 7.8649770526346482e-06),
+    (2.8403734845262788e-06, 3.3206971462189718e-06, 7.9316199253128090e-06),
+)
+
+
+class TestMorseDeepWell:
+    ARGV = ("wavefunction", "--kind", "morse_cont", "--param", "E=1", "--param", "V0=40",
+            "--grid=-0.9225,5.618,61")
+
+    def test_barrier_side_rows_match_mpmath(self, capsys, monkeypatch):
+        # the first 10 points lie past U's Kummer crossover (xi > 15.13),
+        # where the Hankel loop sums its ray and its circle: each stops at
+        # the first two levels that agree, at most 401 ray nodes (levels
+        # 0-3) and 300 circle nodes (1, 2, 4 and 8 panels) a point
+        nodes = []
+        ray, circle = sf._u_ray_sum, sf._u_circle_sum
+
+        def counted_ray(a, b, x, r, level):
+            nodes.append(sf._RAY_LEVELS[level][0].size)
+            return ray(a, b, x, r, level)
+
+        def counted_circle(a, b, x, r, panels):
+            nodes.append(panels * sf._GL_NODES.size)
+            return circle(a, b, x, r, panels)
+
+        monkeypatch.setattr(sf, "_u_ray_sum", counted_ray)
+        monkeypatch.setattr(sf, "_u_circle_sum", counted_circle)
+        code, out, _ = run(capsys, *self.ARGV)
+        assert code == 0
+        assert 0 < sum(nodes) <= 10 * (401 + 300)
+        _, rows, _ = read_csv(out)
+        assert len(rows) == len(DEEP_WELL_TRUTH)
+        for (_, xi, re_phi, im_phi, re_psi, im_psi, _), (re, im, scale) in zip(
+                rows, DEEP_WELL_TRUTH):
+            want = complex(re, im)
+            assert abs(complex(re_phi, im_phi) - want) <= 1e-10 * scale, xi
+            # psi = xi^(i kbar) Phi with kbar = sqrt(2)
+            pref = cmath.exp(1j * math.sqrt(2.0) * math.log(xi))
+            assert abs(complex(re_psi, im_psi) - pref * want) <= 1e-10 * scale, xi
+
+
 class TestCircleCancellationWarning:
     @pytest.mark.parametrize("argv, rows", [
         (("validate", "--kind", "coulomb3d_cont", "--param", "E=1", "--grid", "0.5,1000,3"), 3),
@@ -224,6 +332,26 @@ class TestValidateCommand:
         _, rows, footers = read_csv(out)
         assert all(math.isnan(v) for r in rows for v in r[-3:])
         assert "pairwise_max_rel_dev = nan" in footers
+
+    def test_warned_reference_is_not_usable(self, capsys):
+        # at E = 1e-3 the real integral warns PrecisionLoss at both points and
+        # reads 3e14 where Phi is -9.875i: the series matches mpmath there, so
+        # no deviation from that reference means anything; its dev_* cells
+        # read nan, its onset is the first warned point, and its warnings are
+        # passed on as they were raised
+        with pytest.warns(ce.PrecisionLoss) as record:
+            code, out, _ = run(capsys, "validate", "--kind", "coulomb3d_cont",
+                               "--param", "E=1e-3", "--grid", "0.5,2,2")
+        assert code == 0
+        _, rows, footers = read_csv(out)
+        assert all(math.isnan(v) for r in rows for v in r[-3:])
+        assert footers == ["pairwise_max_rel_dev = nan", "failure_onset_real_integral = 0.5",
+                           "failure_onset_circle = none", "failure_onset_series = none"]
+        real = [w for w in record if str(w.message).startswith("real integral")]
+        assert [str(w.message) for w in real] == [
+            "real integral at xi = 0.5 carries a relative rounding error of 2.4",
+            "real integral at xi = 2 carries a relative rounding error of 0.021"]
+        assert all(w.filename == ce.__file__ for w in real)
 
     def test_grid_required(self, capsys):
         code, _, err = run(capsys, "validate", "--kind", "free3d", "--param", "E=1")

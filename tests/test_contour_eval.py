@@ -39,7 +39,9 @@ from laplaceqm.potential_catalog import (
     canonicalize,
     residue_lattice_energy,
 )
-from laplaceqm.special_fn import SeriesDivergence, laguerre
+from laplaceqm.special_fn import SeriesDivergence
+
+from laguerre_closed_form import laguerre
 
 
 # (Im Phi, scale) with Re Phi = 0 and scale = sqrt(|Phi|^2 + |dPhi/dxi|^2),
@@ -456,11 +458,11 @@ class TestMorseRay:
         self.exps = exponents(self.ode)
 
     def test_frozen_values(self):
-        got1 = morse_continuum_phi(self.ode, self.exps, 1.0, tol=1e-12)
+        got1 = morse_continuum_phi(self.ode, self.exps, 1.0)
         assert got1 == pytest.approx(
             complex(3.1211462528182341e-06, -2.1811987387935216e-06), rel=1e-8
         )
-        got40 = morse_continuum_phi(self.ode, self.exps, 40.0, tol=1e-12)
+        got40 = morse_continuum_phi(self.ode, self.exps, 40.0)
         assert got40 == pytest.approx(
             complex(-9.7416060625580352e-13, -4.7825190007098144e-13), rel=1e-7
         )
@@ -515,6 +517,7 @@ class TestPhiValuesDispatch:
         (Kind.COULOMB3D_CONT, 1.0, Method.CIRCLE),
         (Kind.COULOMB3D, -0.5, Method.RESIDUE),
         (Kind.SHO1D_HERMITE, 2.5, Method.RESIDUE),
+        (Kind.MORSE_CONT, 1.0, Method.MORSE_RAY),
     ])
     def test_tolerance_rejected_where_ignored(self, kind, energy, method):
         # these routes size their own rule or are closed forms

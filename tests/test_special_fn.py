@@ -2,7 +2,8 @@
 
 The polynomial oracles are three-term recurrences run in exact rational
 (or integer) arithmetic, deliberately different from the closed-form
-binomial products in the implementation.  Transcendental values are frozen
+binomial products of the Hermite implementation and of the Laguerre
+closed forms in laguerre_closed_form.py (the residue route's oracle).  Transcendental values are frozen
 high-precision literals.
 """
 
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from laplaceqm.special_fn import (
     InvalidB,
     PoleError,
+    PrecisionLoss,
     QuadratureFailure,
     SeriesDivergence,
     _adaptive_gauss,
@@ -24,10 +26,13 @@ from laplaceqm.special_fn import (
     hermite,
     hermite_coefficients,
     kummer_m,
+    tricomi_u,
+)
+
+from laguerre_closed_form import (
     laguerre,
     laguerre_coefficients,
     laguerre_hermite_identity_residual,
-    tricomi_u,
 )
 
 
@@ -253,7 +258,43 @@ class TestTricomiU:
             ),
         ]
         for a, b, x, want in cases:
-            assert tricomi_u(a, b, x, tol=1e-12) == pytest.approx(want, rel=1e-9)
+            assert tricomi_u(a, b, x) == pytest.approx(want, rel=1e-9)
+
+    # (a, b, x, U) past the Kummer crossover, from mpmath hyperu at 40 digits:
+    # the deep Morse well V0 = 40, E = 1 and V0 = 1, E = 10 (mu = a = 1) on
+    # the Hankel loop, and two real a > 1/2 on the single ray
+    MPMATH = (
+        (-8.44 + 1.41j, 1 + 2.83j, 15.2, complex(-24970525.502817813, 20805731.185032953)),
+        (-8.44 + 1.41j, 1 + 2.83j, 17.8, complex(18531325.111323938, -26048779.7573399)),
+        (-8.44 + 1.41j, 1 + 2.83j, 30.0, complex(5836662377.080154, 64655351441.793755)),
+        (-8.44 + 1.41j, 1 + 2.83j, 45.0, complex(7076221221541.727, 9159611265459.111)),
+        (-8.44 + 1.41j, 1 + 2.83j, 60.0, complex(212600860073044.62, 118455730106337.97)),
+        (-8.44 + 1.41j, 1 + 2.83j, 82.0, complex(5232175323715094.0, 358878118684346.94)),
+        (-8.44 + 1.41j, 1 + 2.83j, 120.0,
+         complex(1.6372188390932285e+17, -8.274665441653872e+16)),
+        (-1.17 + 4.47j, 1 + 8.94j, 17.8, complex(7.728935811633859, -2.4217553591685084)),
+        (-1.17 + 4.47j, 1 + 8.94j, 45.0, complex(-13.78077128993933, 51.18907958599728)),
+        (-1.17 + 4.47j, 1 + 8.94j, 120.0, complex(-188.00304868335968, -126.16746281849078)),
+        (1.5, 2.5, 20.0, complex(0.011180339887498949, 0.0)),
+        (1.5, 2.5, 200.0, complex(0.00035355339059327376, 0.0)),
+        (1.5, 2.5, 400.0, complex(0.000125, 0.0)),
+        (0.75, 1.3, 20.0, complex(0.10405500253359473, 0.0)),
+        (0.75, 1.3, 200.0, complex(0.01877148444009002, 0.0)),
+        (0.75, 1.3, 400.0, complex(0.011170936230668772, 0.0)),
+    )
+
+    @pytest.mark.filterwarnings("error::laplaceqm.special_fn.PrecisionLoss")
+    def test_against_mpmath(self):
+        for a, b, x, want in self.MPMATH:
+            assert abs(tricomi_u(a, b, x) - want) <= 1e-12 * abs(want), (a, b, x)
+
+    def test_cancelled_loop_warns(self):
+        # b = 1 sends small x past the Kummer form; the loop's circle is held
+        # at r = 1/2, far inside the saddle point |a - 1| / x = 15.6, and its
+        # sum cancels: U(-30 + 3i, 1, 2) is off by 6e-2
+        with pytest.warns(PrecisionLoss, match=r"tricomi_u at a = -30\+3j, b = 1\+0j, x = 2 "
+                                               r"carries a relative rounding error"):
+            tricomi_u(-30 + 3j, 1.0, 2.0)
 
     def test_power_law_case(self):
         # U(a, a+1, x) = x^(-a) exactly

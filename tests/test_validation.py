@@ -171,8 +171,7 @@ class TestOdeResidualSweep:
 
     def test_morse_ray_solves_the_equation(self):
         spec = ProblemSpec(kind=Kind.MORSE_CONT, morse_v0=1.0)
-        resid = ode_residual_sweep(spec, 1.0, Method.MORSE_RAY,
-                                   [0.5, 1.0, 2.0], h=5e-4, tol=1e-12)
+        resid = ode_residual_sweep(spec, 1.0, Method.MORSE_RAY, [0.5, 1.0, 2.0], h=5e-4)
         assert resid < 1e-3
 
 
