@@ -56,6 +56,7 @@ _INPUT_ERRORS = (RegimeMismatch, NotBoundProblem, InvalidQuantumNumbers, DomainE
 _INT_PARAMS = {"n", "m", "l", "n_max"}
 _FLOAT_PARAMS = {"E", "V0", "a", "a0", "omega", "mu"}
 _PARAM_KEYS = _INT_PARAMS | _FLOAT_PARAMS
+_FILE_KEYS = {"kind", "method", "grid", "radius", "out"} | _PARAM_KEYS
 
 
 @dataclass(frozen=True)
@@ -66,19 +67,21 @@ class RunConfig:
     method: Optional[Method] = None
     grid: Optional[Tuple[float, float, int]] = None
     radius: Optional[float] = None  # None: the ContourConfig default
-    steps: Optional[int] = None
     out: Optional[str] = None
 
     def validate(self) -> None:
-        ignored = {
-            "spectrum": ("method", "radius", "steps", "grid"),
-            "validate": ("method",),
-            "wavefunction": () if self.method is Method.CIRCLE else ("radius", "steps"),
-        }[self.command]
-        for name in ignored:
+        ignored = {"spectrum": ("method", "radius", "grid"), "validate": ("method",),
+                   "wavefunction": () if self.method is Method.CIRCLE else ("radius",)}
+        for name in ignored[self.command]:
             if getattr(self, name) is not None:
                 where = " without --method circle" if self.command == "wavefunction" else ""
                 raise ConfigError(f"{self.command} does not use --{name}{where}")
+        unused = {"spectrum": ("E", "n"), "validate": ("n", "n_max"),
+                  "wavefunction": ("E" if self.kind in BOUND_KINDS else "n", "n_max")}
+        for key in unused[self.command]:
+            if key in self.params:
+                raise ConfigError(
+                    f"{self.command} does not use --param {key} for {self.kind.value}")
         if self.command in ("wavefunction", "validate"):
             if self.grid is None:
                 raise ConfigError(f"{self.command} needs --grid min,max,count")
@@ -107,9 +110,8 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
     def contour(self) -> ContourConfig:
-        given = {"radius_R": self.radius, "steps": self.steps}
         try:
-            return ContourConfig(**{k: v for k, v in given.items() if v is not None})
+            return ContourConfig() if self.radius is None else ContourConfig(self.radius)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -307,8 +309,10 @@ def _read_config_file(path: str) -> Dict[str, str]:
                     continue
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key=value")
-                key, _, value = line.partition("=")
-                out[key.strip()] = value.strip()
+                key, _, value = (part.strip() for part in line.partition("="))
+                if key not in _FILE_KEYS:
+                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                out[key] = value
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return out
@@ -339,9 +343,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        "wavefunction, xi space for validate)")
         p.add_argument("--method", choices=sorted(_METHOD_FLAGS))
         p.add_argument("--radius", type=float, help="circle contour radius (> 1)")
-        p.add_argument("--steps", type=int,
-                       help="finest circle rule (>= 1000, default 100000); the rule "
-                       "halves it and stops once two levels agree")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--config", help="key=value file; flags override it")
     return parser
@@ -388,10 +389,8 @@ def _build_config(ns: argparse.Namespace) -> RunConfig:
 
     grid_text = pick("grid", "grid")
     radius_text = pick("radius", "radius")
-    steps_text = pick("steps", "steps")
     try:
         radius = float(radius_text) if radius_text is not None else None
-        steps = int(steps_text) if steps_text is not None else None
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -402,7 +401,6 @@ def _build_config(ns: argparse.Namespace) -> RunConfig:
         method=_METHOD_FLAGS[method_name] if method_name else None,
         grid=_parse_grid(grid_text) if grid_text is not None else None,
         radius=radius,
-        steps=steps,
         out=pick("out", "out"),
     )
     cfg.validate()

@@ -14,9 +14,8 @@ import cmath
 import enum
 import functools
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import ClassVar, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .special_fn import (
     _HALVINGS,
     _RAY_H0,
     _RAY_LEVELS,
-    PrecisionLoss,
+    PrecisionLoss,  # noqa: F401  (raised by every route; importable from here)
     _converged,
     _de_abscissae,
     _frozen,
@@ -77,24 +76,21 @@ ROUTES: Dict[catalog.Kind, Tuple[Method, ...]] = {
 
 @dataclass(frozen=True)
 class ContourConfig:
-    """Radius and finest step count of the circle route.
+    """Radius of the circle route, the one choice the contour leaves open.
 
-    steps is the finest rule: the circle halves it down to the coarsest
-    integer level >= 1000 and stops at the first level that agrees with the
-    one below it, and the degenerate free segment uses at most steps
-    Gauss-Legendre nodes.
+    Any radius_R > 1 encloses both branch points and, by Cauchy's theorem,
+    gives the same Phi.  steps is a class constant, not a setting: the
+    finest of the circle's trapezoid levels (see continuum_phi_circle).
     """
 
     radius_R: float = 1.1
-    steps: int = 100_000
+    steps: ClassVar[int] = 100_000
 
     def __post_init__(self):
         if not 1.0 < self.radius_R < math.inf:
             raise ValueError(
                 "circle radius must be finite and exceed 1 (outside both branch points)"
             )
-        if self.steps < 1000:
-            raise ValueError("circle rule needs at least 1000 steps")
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,6 +116,12 @@ def _falling(a: complex, j: int) -> complex:
     return out
 
 
+def _check_order(what: str, order, N: int) -> None:
+    """Raise NonIntegerOrder unless order is the nonnegative integer N (to 1e-9)."""
+    if N < 0 or abs(order - N) > 1e-9 * max(1.0, abs(N)):
+        raise NonIntegerOrder(f"{what} = {order:.6g} is not the nonnegative integer {N}")
+
+
 def bound_phi_residue(ode: CanonicalODE, N: int, xi):
     """Phi from the order-N residue at z = -lambda.
 
@@ -128,11 +130,7 @@ def bound_phi_residue(ode: CanonicalODE, N: int, xi):
     (2 lambda)^w e^{i pi w}, the counterclockwise principal phase.
     """
     exps = exponents(ode)
-    target = -exps.alpha_minus
-    if N < 0 or abs(target - N) > 1e-9 * max(1.0, abs(N)):
-        raise NonIntegerOrder(
-            f"-alpha_minus = {target:.6g} is not the nonnegative integer {N}"
-        )
+    _check_order("-alpha_minus", -exps.alpha_minus, N)
     lam = ode.lam.real
     a = exps.alpha_plus - 1.0
     coeffs = []
@@ -164,8 +162,8 @@ def _integer_re_alpha_plus(exps: Exponents) -> bool:
     """True for an integer Re(alpha_plus), False for a half-odd one.
 
     These are the two cases where e^{2 pi i Re(alpha_plus)} = +-1 exactly,
-    which the edge factor and the monodromy use in closed form; any other
-    Re(alpha_plus) raises.
+    which the edge factor uses in closed form; any other Re(alpha_plus)
+    raises.
     """
     re_ap = exps.alpha_plus.real
     if abs(re_ap - round(re_ap)) < 1e-9:
@@ -181,21 +179,23 @@ def _integer_re_alpha_plus(exps: Exponents) -> bool:
 _EDGE_DELTA_MAX = 2.0 * (math.log(np.finfo(float).max) + math.log(2.0)) / math.pi
 
 
-def _bracket_coefficient(ode: CanonicalODE, exps: Exponents) -> complex:
-    """Edge-combination factor i(e^{-pi delta/2} -+ e^{pi delta/2}).
+def _edge_prefactor(ode: CanonicalODE, exps: Exponents) -> complex:
+    """Edge-combination factor i(e^{-pi delta/2} -+ e^{pi delta/2}) times 2^(beta-1).
 
-    Minus sign when Re(alpha_plus) is an integer, plus when half-odd, taken
-    as -2i sinh(pi delta/2) and 2i cosh(pi delta/2) so a tiny delta keeps
+    The prefactor the real integral and the series share.  Minus sign when
+    Re(alpha_plus) is an integer, plus when half-odd, taken as
+    -2i sinh(pi delta/2) and 2i cosh(pi delta/2) so a tiny delta keeps
     its digits. In the degenerate free case the bracket vanishes
     identically: the two edges cancel, so the open segment between the
     branch points is used instead with unit coefficient.
     """
+    scale = cmath.exp((exps.alpha_plus + exps.alpha_minus - 1.0) * math.log(2.0))
     if degenerate_free(ode, exps):
-        return 1j
+        return 1j * scale
     half = 0.5 * math.pi * ode.delta
     integer = _integer_re_alpha_plus(exps)
     try:
-        return -2j * math.sinh(half) if integer else 2j * math.cosh(half)
+        return (-2j * math.sinh(half) if integer else 2j * math.cosh(half)) * scale
     except OverflowError:
         raise OverflowError(
             f"edge factor overflows at delta = {ode.delta:.6g}: |delta| must stay below "
@@ -267,7 +267,7 @@ def continuum_phi_real_integral(ode: CanonicalODE, exps: Exponents, xi: float) -
     """
     if ode.regime is not Regime.CONTINUUM:
         raise MethodRegimeMismatch("segment integral applies to the continuum regime")
-    edge = _bracket_coefficient(ode, exps)
+    pref = _edge_prefactor(ode, exps)
     xi = float(xi)
     if xi >= 1.0:
         rule, level_sum = _RAY_H0, _ray_sum
@@ -276,8 +276,6 @@ def continuum_phi_real_integral(ode: CanonicalODE, exps: Exponents, xi: float) -
     levels = ((rule / 2**k, *level_sum(exps, xi, k)) for k in range(_HALVINGS + 1))
     total, mass, converged = _converged(_nested(levels))
     _warn_inexact(f"real integral at xi = {xi:.3g}", total, mass, converged)
-    beta = exps.alpha_plus + exps.alpha_minus
-    pref = edge * cmath.exp((beta - 1.0) * math.log(2.0))
     return pref * cmath.exp(-1j * xi) * total
 
 
@@ -330,20 +328,16 @@ def _circle_terms(ode: CanonicalODE, exps: Exponents, radius_R: float, steps: in
     theta = (np.arange(steps) + shift) * (2.0 * math.pi / steps)
     z = radius_R * np.exp(1j * (theta + 0.5 * math.pi))
     phases = (phase_phi1(theta, radius_R), phase_phi2(theta, radius_R))
-    return _frozen(z, *log_terms(ode, exps, z, phases)[:2])
+    return _frozen(z, *log_terms(ode, exps, z, phases))
 
 
-def _circle_levels(steps: int):
-    """steps, steps/2, steps/4, ... down to the last integer >= 1000, coarsest first."""
-    levels = [steps]
-    while levels[-1] % 2 == 0 and levels[-1] // 2 >= 1000:
-        levels.append(levels[-1] // 2)
-    return levels[::-1]
+# node counts of the circle's trapezoid levels, 3125 to 100000, coarsest first
+_CIRCLE_LEVELS = tuple(ContourConfig.steps // 2**k for k in range(5, -1, -1))
 
 
-def _circle_level_sums(ode: CanonicalODE, exps: Exponents, radius_R: float, levels, xi: float):
+def _circle_level_sums(ode: CanonicalODE, exps: Exponents, radius_R: float, xi: float):
     """(h, sum, sum of |summand|) per level: every node of the coarsest, then the new ones."""
-    for k, steps in enumerate(levels):
+    for k, steps in enumerate(_CIRCLE_LEVELS):
         if k == 0:
             z, t_plus, t_minus = _circle_terms(ode, exps, radius_R, steps)
         else:
@@ -371,35 +365,32 @@ def continuum_phi_circle(
     """Phi from the uniform-step rule on the circle |z| = R.
 
     The integrand is smooth and periodic, so the plain trapezoid converges
-    geometrically: the rule runs at steps/2^k nodes, from the coarsest
-    level that is still an integer >= 1000 up to config.steps, each level
-    adding only the odd nodes to the one below it, and stops at the first
-    level that agrees with the one below it (see _converged).
+    geometrically: the rule runs at 3125, 6250, ..., 100000 nodes, each
+    level adding only the odd nodes to the one below it, and stops at the
+    first level that agrees with the one below it (see _converged); a point
+    that converges at once evaluates 6250 summands.  config sets only R.
     Accuracy is instead lost to cancellation once R*xi grows; when the
     rounding error eps * sum|summand| exceeds 1e-6 of the sum, or the sum
     is not finite, PrecisionLoss is warned. In the degenerate free case the
     closed loop encloses nothing and vanishes identically, so the rule
     integrates straight across the branch-point segment instead, with
     composite 20-point Gauss-Legendre panels doubled until two estimates
-    agree (at most config.steps nodes); that value is what the closed
-    contour degenerates to and is independent of R.  Only the factor
+    agree (at most 4096 panels); that value is what the closed contour
+    degenerates to and is independent of R.  Only the factor
     e^{xi z} is computed per call; the rest comes from _circle_terms, built
     once per (ode, R, level), or from the panel tables.
     """
     if ode.regime is not Regime.CONTINUUM:
         raise MethodRegimeMismatch("circle rule applies to the continuum regime")
-    cfg = config or ContourConfig()
-    r, n = cfg.radius_R, cfg.steps
+    r = (config or ContourConfig()).radius_R
     xi = float(xi)
     if degenerate_free(ode, exps):
         # here alpha_+- are the same integer, so the moduli combine exactly
         power = int(round(exps.alpha_plus.real)) - 1
-        panel_counts = [2**k for k in range(n.bit_length()) if 20 * 2**k <= n]
-        total, mass, _ = _converged(_segment_sum(power, xi, k) for k in panel_counts)
+        total, mass, _ = _converged(_segment_sum(power, xi, 2**k) for k in range(13))
         value = 1j * total
     else:
-        levels = _circle_level_sums(ode, exps, r, _circle_levels(n), xi)
-        total, mass, _ = _converged(_nested(levels))
+        total, mass, _ = _converged(_nested(_circle_level_sums(ode, exps, r, xi)))
         value = total * convention.reference_point_phase
     _warn_inexact(f"circle sum at R*xi = {r * xi:.3g}", total, mass)
     return complex(value)
@@ -408,54 +399,26 @@ def continuum_phi_circle(
 # ---------------------------------------------------------------------------
 # Continuum: series route
 
-_SERIES_PRECISION_XI = 20.0
-
-
-def continuum_phi_series(
-    ode: CanonicalODE, exps: Exponents, xi: float, tol: float = 1e-15
-) -> complex:
+def continuum_phi_series(ode: CanonicalODE, exps: Exponents, xi: float) -> complex:
     """Phi as -2 pi i times the residue at infinity of the cut integrand.
 
     The Laurent tail sums to a Kummer function, leaving
     -2 pi i e^{-pi delta/2} (e^{2 pi i alpha_plus} - 1)/(4 pi) 2^beta
     * Gamma(alpha_plus)Gamma(alpha_minus)/Gamma(beta) e^{-i xi}
-    * M(alpha_minus, beta, 2 i xi), identical to the segment result. The
-    monodromy e^{2 pi i alpha_plus} - 1 is taken as expm1(-2 pi Im alpha_plus)
-    for an integer Re(alpha_plus) and -e^{-2 pi Im alpha_plus} - 1 for a
-    half-odd one, so a tiny delta keeps its digits. The monodromy factor
-    vanishes in the degenerate free case, where the same
-    unit-coefficient segment convention as the other routes applies.
+    * M(alpha_minus, beta, 2 i xi), identical to the segment result.  The
+    factor before the Gammas is the real integral's edge factor times
+    2^(beta-1), so it keeps its digits as delta -> 0, stays finite up to
+    the same |delta| and raises the same OverflowError past it.  kummer_m
+    warns PrecisionLoss when its measured rounding error exceeds 1e-6 of M.
     """
     if ode.regime is not Regime.CONTINUUM:
         raise MethodRegimeMismatch("series route applies to the continuum regime")
     ap, am = exps.alpha_plus, exps.alpha_minus
     beta = ap + am
     xi = float(xi)
-    if xi > _SERIES_PRECISION_XI:
-        warnings.warn(
-            f"series cancellation beyond xi = {_SERIES_PRECISION_XI:g} "
-            "typically exceeds a relative 1e-3",
-            PrecisionLoss,
-            stacklevel=2,
-        )
-    if degenerate_free(ode, exps):
-        pref = 1j * cmath.exp((beta - 1.0) * math.log(2.0))
-    else:
-        damp = -2.0 * math.pi * ap.imag
-        if _integer_re_alpha_plus(exps):
-            monodromy = math.expm1(damp)
-        else:
-            monodromy = -math.exp(damp) - 1.0
-        pref = (
-            -2j
-            * math.pi
-            * math.exp(-0.5 * math.pi * ode.delta)
-            * monodromy
-            / (4.0 * math.pi)
-            * cmath.exp(beta * math.log(2.0))
-        )
+    pref = _edge_prefactor(ode, exps)
     ratio = gamma_complex(ap) * gamma_complex(am) / gamma_complex(beta)
-    return pref * ratio * cmath.exp(-1j * xi) * kummer_m(am, beta, 2j * xi, tol)
+    return pref * ratio * cmath.exp(-1j * xi) * kummer_m(am, beta, 2j * xi)
 
 
 # ---------------------------------------------------------------------------
@@ -488,16 +451,14 @@ def _check_method(spec: catalog.ProblemSpec, method: Method):
 
 
 def _point_route(ode: CanonicalODE, exps: Exponents, method: Method,
-                 config: Optional[ContourConfig], tol: Optional[float]):
+                 config: Optional[ContourConfig]):
     """The quadrature or series route as a function of one xi."""
     if method is Method.CIRCLE:
         conv = default_phase_convention(ode)
         return lambda x: continuum_phi_circle(ode, exps, conv, x, config)
-    if method is Method.REAL_INTEGRAL:
-        return lambda x: continuum_phi_real_integral(ode, exps, x)
-    route = continuum_phi_series if method is Method.SERIES else morse_continuum_phi
-    kw = {} if tol is None else {"tol": tol}
-    return lambda x: route(ode, exps, x, **kw)
+    route = {Method.REAL_INTEGRAL: continuum_phi_real_integral,
+             Method.SERIES: continuum_phi_series}.get(method, morse_continuum_phi)
+    return lambda x: route(ode, exps, x)
 
 
 def phi_values(
@@ -506,25 +467,24 @@ def phi_values(
     xi_values,
     method: Method,
     config: Optional[ContourConfig] = None,
-    tol: Optional[float] = None,
 ) -> np.ndarray:
     """Phi(xi) on an array of xi values by the chosen method.
 
     The one loop over grid points. The residue routes are closed forms
-    evaluated on the whole array; every other route is called once per xi,
-    in order. Evaluation stops at the first point that fails, and a
-    non-finite value is a failure (FloatingPointError naming the route and
-    xi). That point's exception propagates with its index in ``.point``.
-    tol is the series' tolerance; every other method sizes its own rule
-    and rejects it (ValueError).
+    evaluated on the whole array, at lattice energies only
+    (NonIntegerOrder otherwise); every other route is called once per xi,
+    in order, and sizes its own rule. Evaluation stops at the first point
+    that fails, and a non-finite value is a failure (FloatingPointError
+    naming the route and xi). That point's exception propagates with its
+    index in ``.point``.  config sets the circle's radius.
     """
     _check_method(spec, method)
-    if tol is not None and method is not Method.SERIES:
-        raise ValueError(f"method {method.value} takes no tol")
     xs = np.asarray(xi_values, dtype=float)
     route = None
     if spec.kind is catalog.Kind.SHO1D_HERMITE:
-        n = round(energy / spec.omega - 0.5)
+        order = energy / spec.omega - 0.5
+        n = round(order)
+        _check_order("E/omega - 1/2", order, n)
         values = np.asarray(hermite_phi_residue(n, xs), dtype=complex)
     else:
         ode = catalog.canonicalize(spec, energy)
@@ -533,7 +493,7 @@ def phi_values(
             N = round(-exps.alpha_minus.real)
             values = np.asarray(bound_phi_residue(ode, N, xs), dtype=complex)
         else:
-            route = _point_route(ode, exps, method, config, tol)
+            route = _point_route(ode, exps, method, config)
             values = np.empty(xs.shape, dtype=complex)
     for i, x in enumerate(xs):
         try:

@@ -3,7 +3,8 @@
 Every supported problem reduces to xi*Phi'' + beta*Phi' + (delta - lambda^2*xi)*Phi = 0,
 whose solutions are contour integrals of e^{xi z} (z-lambda)^{a+-1} (z+lambda)^{a--1}.
 This module owns the (beta, delta, lambda) data, the exponent pair, and the
-single-valued integrand built from moduli and explicitly tracked phases.
+log terms of the single-valued integrand, built from moduli and explicitly
+tracked phases.
 """
 
 from __future__ import annotations
@@ -120,20 +121,19 @@ def degenerate_free(ode: CanonicalODE, exps: Exponents) -> bool:
 def log_terms(ode: CanonicalODE, exps: Exponents, z, phases=(0.0, 0.0)):
     """The two xi-independent log terms of the integrand, elementwise over z.
 
-    Returns (t_plus, t_minus, at_branch) with
+    Returns (t_plus, t_minus) with
     t_plus = (alpha_+ - 1)(ln|z - lambda| + i phi2) and
     t_minus = (alpha_- - 1)(ln|z + lambda| + i phi1), where phases =
     (phi1, phi2) are winding angles accumulated from the reference point.
     Moduli are raised to the full complex exponents as
-    m^(a+ib) = m^a * e^{i b ln m} on the positive real m.  at_branch marks
-    the z where a factor vanishes, whose terms are not meaningful; a
-    divergent factor there raises.
+    m^(a+ib) = m^a * e^{i b ln m} on the positive real m.  The integrand is
+    e^{xi z + t_plus + t_minus} times the reference phase.  A divergent
+    factor at a branch point raises; no route evaluates there (R > 1).
     """
     phi1, phi2 = phases
     z = np.asarray(z, dtype=complex)
     m2 = np.abs(z - ode.lam)
     m1 = np.abs(z + ode.lam)
-    at_branch = (m2 == 0.0) | (m1 == 0.0)
     for mod, alpha in ((m2, exps.alpha_plus), (m1, exps.alpha_minus)):
         if (alpha - 1.0).real < 0.0 and np.any(mod == 0.0):
             raise BranchPointEvaluation(
@@ -142,30 +142,4 @@ def log_terms(ode: CanonicalODE, exps: Exponents, z, phases=(0.0, 0.0)):
     with np.errstate(divide="ignore", invalid="ignore"):
         t_plus = (exps.alpha_plus - 1.0) * (np.log(m2) + 1j * phi2)
         t_minus = (exps.alpha_minus - 1.0) * (np.log(m1) + 1j * phi1)
-    return t_plus, t_minus, at_branch
-
-
-def log_integrand(ode: CanonicalODE, exps: Exponents, xi: float, z, phases=(0.0, 0.0)):
-    """log of the integrand without its reference phase, elementwise over z.
-
-    xi * z plus the two log_terms, added in that order.  At a branch point
-    the log is -inf where the factor vanishes; a divergent factor raises.
-    """
-    z = np.asarray(z, dtype=complex)
-    t_plus, t_minus, at_branch = log_terms(ode, exps, z, phases)
-    with np.errstate(invalid="ignore"):
-        logf = xi * z + t_plus + t_minus
-    return np.where(at_branch, -np.inf, logf)
-
-
-def integrand(
-    ode: CanonicalODE,
-    exps: Exponents,
-    convention: PhaseConvention,
-    xi: float,
-    z: complex,
-    phases=(0.0, 0.0),
-) -> complex:
-    """Single-valued integrand value at z with explicit winding angles."""
-    value = np.exp(log_integrand(ode, exps, xi, z, phases))
-    return complex(value * convention.reference_point_phase)
+    return t_plus, t_minus

@@ -106,14 +106,18 @@ def hermite(n: int, x):
 # Confluent hypergeometric M (Kummer) and U (Tricomi)
 
 _MAX_KUMMER_TERMS = 1000
+_KUMMER_STOP = 1e-15  # a term this small relative to the sum is quiet
+_EPS_X = float(np.finfo(np.longdouble).eps)
 
 
-def kummer_m(a, b, z, tol: float = 1e-15) -> complex:
+def kummer_m(a, b, z) -> complex:
     """Kummer's M(a, b, z) by direct series.
 
     Accumulates in 80-bit scalars: for oscillatory z the partial terms reach
     ~e^{|z|} while the sum stays O(1), and the extra mantissa bits push the
-    cancellation wall out by roughly a factor e^3 in |z|.
+    cancellation wall out by roughly a factor e^3 in |z|.  It stops after
+    three terms in a row below 1e-15 of the sum, and warns PrecisionLoss when
+    eps_x * sum|term| exceeds 1e-6 of |M|, eps_x the 80-bit epsilon.
     """
     b = complex(b)
     if b.imag == 0.0 and b.real <= 0.0 and b.real == round(b.real):
@@ -123,15 +127,21 @@ def kummer_m(a, b, z, tol: float = 1e-15) -> complex:
     z_x = np.clongdouble(complex(z))
     term = np.clongdouble(1.0)
     total = np.clongdouble(1.0)
+    mass = np.longdouble(1.0)
     quiet = 0
     for j in range(_MAX_KUMMER_TERMS):
         term = term * (a_x + j) / (b_x + j) * z_x / (j + 1)
         total = total + term
+        size = abs(term)
+        mass = mass + size
         # three quiet terms in a row, not one: parity cancellations can make
         # a single term dip below tolerance long before the tail is spent
-        if abs(term) <= tol * abs(total):
+        if size <= _KUMMER_STOP * abs(total):
             quiet += 1
             if quiet >= 3:
+                if _EPS_X * mass > _PRECISION_LOSS * abs(total):
+                    _warn_inexact(f"kummer_m at a = {complex(a):.6g}, b = {b:.6g}, "
+                                  f"z = {complex(z):.6g}", total, mass, eps=_EPS_X)
                 return complex(total)
         else:
             quiet = 0
@@ -225,14 +235,14 @@ def _converged(estimates):
     return total, mass, False
 
 
-def _warn_inexact(what: str, total, mass, converged: bool = True) -> None:
+def _warn_inexact(what: str, total, mass, converged: bool = True, eps: float = _EPS) -> None:
     """Warn PrecisionLoss about what, at the caller's caller, for an inexact sum.
 
     Inexact means not finite, not converged, or carrying a relative rounding
-    error eps * sum|summand| / |sum| above 1e-6.
+    error eps * sum|summand| / |sum| above 1e-6, eps that of the sum's type.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        loss = float(_EPS * mass / np.abs(total))
+        loss = float(eps * mass / np.abs(total))
     if converged and loss <= _PRECISION_LOSS:
         return
     if not cmath.isfinite(total):

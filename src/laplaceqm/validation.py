@@ -198,7 +198,6 @@ def ode_residual_sweep(
     method: Method,
     grid: Sequence[float],
     h: float = 1e-4,
-    tol: Optional[float] = None,
 ) -> float:
     """Check sampled Phi against its defining equation by finite differences.
 
@@ -206,8 +205,7 @@ def ode_residual_sweep(
     QuantumNumbers pair (resolved on the residue lattice).  Returns the max
     pointwise relative residual over the grid.  h trades finite-difference
     truncation against amplified evaluation noise (4/h^2), so quadrature
-    routes want a larger h than the closed-form ones; tol, when given, is
-    forwarded to the route evaluator.
+    routes want a larger h than the closed-form ones.
     """
     if isinstance(energy_or_qn, QuantumNumbers):
         energy = residue_lattice_energy(spec, energy_or_qn.n - n_start(spec))
@@ -218,7 +216,7 @@ def ode_residual_sweep(
 
     xi = np.asarray(list(grid), dtype=float)
     stacked = np.concatenate([xi - h, xi, xi + h])
-    phi = phi_values(spec, energy, stacked, method, tol=tol)
+    phi = phi_values(spec, energy, stacked, method)
     m = len(xi)
     phi_minus, phi_center, phi_plus = phi[:m], phi[m : 2 * m], phi[2 * m :]
 

@@ -2,8 +2,10 @@
 
 import cmath
 import math
+import shlex
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -91,8 +93,7 @@ class TestWavefunctionCommand:
     def test_circle_method_selected(self, capsys):
         code, out, _ = run(capsys, "wavefunction", "--kind", "coulomb3d_cont",
                            "--param", "E=0.1", "--method", "circle",
-                           "--radius", "1.1", "--steps", "100000",
-                           "--grid", "1,2,2")
+                           "--radius", "1.1", "--grid", "1,2,2")
         assert code == 0
         _, rows, _ = read_csv(out)
         assert all(r[-1] == "circle" for r in rows)
@@ -440,20 +441,57 @@ class TestConfigHandling:
     @pytest.mark.parametrize("argv,option", [
         (("spectrum", "--kind", "coulomb3d", "--method", "series"), "--method"),
         (("spectrum", "--kind", "coulomb3d", "--radius", "1.5"), "--radius"),
-        (("spectrum", "--kind", "coulomb3d", "--steps", "5000"), "--steps"),
+        (("spectrum", "--kind", "coulomb3d", "--param", "E=1"), "--param"),
         (("spectrum", "--kind", "coulomb3d", "--grid", "0,1,3"), "--grid"),
         (("validate", "--kind", "free3d", "--param", "E=1", "--method", "morse",
           "--grid", "1,2,2"), "--method"),
         (("wavefunction", "--kind", "coulomb3d_cont", "--param", "E=1",
           "--radius", "1.5", "--grid", "1,2,2"), "--radius"),
         (("wavefunction", "--kind", "coulomb3d_cont", "--param", "E=1",
-          "--method", "series", "--steps", "5000", "--grid", "1,2,2"), "--steps"),
+          "--method", "series", "--param", "n=2", "--grid", "1,2,2"), "--param"),
     ])
     def test_ignored_option_rejected(self, capsys, argv, option):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {argv[0]} does not use {option}")
+
+    @pytest.mark.parametrize("argv,key", [
+        (("spectrum", "--kind", "coulomb3d", "--param", "E=1", "--param", "n=4"), "E"),
+        (("spectrum", "--kind", "coulomb3d", "--param", "n=4"), "n"),
+        (("wavefunction", "--kind", "coulomb3d", "--param", "E=-0.5",
+          "--grid", "0,4,3"), "E"),
+        (("wavefunction", "--kind", "coulomb3d", "--param", "n_max=3",
+          "--grid", "0,4,3"), "n_max"),
+        (("wavefunction", "--kind", "free3d", "--param", "E=1", "--param", "n=2",
+          "--grid", "0,4,3"), "n"),
+        (("validate", "--kind", "free3d", "--param", "E=1", "--param", "n=2",
+          "--grid", "1,2,2"), "n"),
+        (("validate", "--kind", "free3d", "--param", "E=1", "--param", "n_max=3",
+          "--grid", "1,2,2"), "n_max"),
+    ])
+    def test_unused_param_rejected(self, capsys, argv, key):
+        # a spectrum lists every level, a bound state is chosen by n and a
+        # continuum state by E; any other state key would be ignored
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {argv[0]} does not use --param {key} for {argv[2]}")
+
+    @pytest.mark.parametrize("line", ["stepz=5", "steps=5000", "tol=1e-9", "config=x.cfg"])
+    def test_unknown_config_key_rejected(self, capsys, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"kind=coulomb3d\n{line}\n")
+        code, out, err = run(capsys, "spectrum", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert f":2: unknown key {line.partition('=')[0]!r}" in err
+
+    def test_steps_flag_rejected(self, capsys):
+        # the circle sizes its own rule, so the CLI takes no step count
+        code, out, err = run(capsys, "wavefunction", "--kind", "coulomb3d_cont",
+                             "--param", "E=1", "--method", "circle", "--steps", "5000",
+                             "--grid", "1,2,2")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --steps 5000" in err
 
     def test_kind_required(self, capsys):
         code, _, err = run(capsys, "spectrum")
@@ -530,3 +568,15 @@ def test_installed_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "n,N,E\n1,0,-5.000000000000e-01\n"
+
+
+def test_readme_commands_run(capsys):
+    """Every laplaceqm line of README's command-line block exits 0."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("laplaceqm ")]
+    assert len(commands) == 4
+    for argv in commands:
+        assert main(argv) == 0, argv
+        capsys.readouterr()

@@ -8,6 +8,7 @@ against closed elementary forms, and against frozen high-precision values.
 """
 
 import cmath
+import dataclasses
 import math
 import warnings
 
@@ -302,6 +303,33 @@ class TestSeries:
         with pytest.warns(PrecisionLoss):
             continuum_phi_series(ode, exps, 21.0)
 
+    def test_measured_rounding_warns_where_the_series_is_garbage(self):
+        # against mpmath the series is off by 0.25 at (E = 1e-3, xi = 10) and
+        # by 6.5 at (E = 5e-5, xi = 3), both well below xi = 20
+        for energy, xi in ((1e-3, 10.0), (5e-5, 3.0)):
+            _, ode, exps = continuum_setup(Kind.COULOMB3D_CONT, energy)
+            with pytest.warns(PrecisionLoss, match="kummer_m at a = .* z = "):
+                continuum_phi_series(ode, exps, xi)
+        _, ode, exps = continuum_setup(Kind.COULOMB3D_CONT, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for xi in (0.5, 2.0, 5.0, 10.0):
+                continuum_phi_series(ode, exps, xi)
+
+    def test_low_energy_prefactor_against_mpmath(self):
+        # delta = 316.2: e^{pi delta} overflows a double, the edge factor
+        # 2i sinh(pi delta / 2) does not; mpmath at 50 digits gives
+        # Phi = -126.98387360572795 i (Re Phi ~ 3e-50)
+        _, ode, exps = continuum_setup(Kind.COULOMB3D_CONT, 2e-5)
+        got = continuum_phi_series(ode, exps, 0.01)
+        assert abs(got + 126.98387360572795j) <= 1e-12 * 126.98387360572795
+
+    def test_edge_factor_overflow_names_delta(self):
+        # the same bound as the real integral: |delta| below 452.3
+        _, ode, exps = continuum_setup(Kind.COULOMB3D_CONT, 1e-8)
+        with pytest.raises(OverflowError, match=r"delta = 14142\.1.*below 452\.303"):
+            continuum_phi_series(ode, exps, 1.0)
+
     def test_regime_guard(self):
         ode = canonicalize(ProblemSpec(kind=Kind.MORSE_CONT), 1.0)
         with pytest.raises(MethodRegimeMismatch):
@@ -342,10 +370,12 @@ class TestCircle:
             continuum_phi_circle(ode, exps, conv, 700.0, ContourConfig(radius_R=1.1))
 
     def test_config_validation(self):
+        # the radius is the one setting; the finest circle level is a constant
+        assert [f.name for f in dataclasses.fields(ContourConfig)] == ["radius_R"]
+        assert ContourConfig().steps == ContourConfig.steps == 100_000
+        assert ce._CIRCLE_LEVELS == (3125, 6250, 12500, 25000, 50000, 100000)
         with pytest.raises(ValueError):
             ContourConfig(radius_R=1.0)
-        with pytest.raises(ValueError):
-            ContourConfig(steps=999)
         for radius in (math.inf, math.nan):
             with pytest.raises(ValueError):
                 ContourConfig(radius_R=radius)
@@ -359,7 +389,7 @@ class TestCircle:
 
         def phi(kind, energy, radius, xi):
             _, ode, exps = continuum_setup(kind, energy)
-            cfg = ContourConfig(radius_R=radius, steps=2000)
+            cfg = ContourConfig(radius_R=radius)
             return continuum_phi_circle(ode, exps, default_phase_convention(ode), xi, cfg)
 
         cold = {}
@@ -497,31 +527,17 @@ class TestPhiValuesDispatch:
         with pytest.raises(MethodRegimeMismatch):
             phi_values(morse, 1.0, [1.0], Method.REAL_INTEGRAL)
 
-    def test_tolerance_forwarding(self, monkeypatch):
-        seen = []
-
-        def recorded(ode, exps, xi, **kw):
-            seen.append(kw)
-            return series(ode, exps, xi, **kw)
-
-        series = ce.continuum_phi_series
-        monkeypatch.setattr(ce, "continuum_phi_series", recorded)
-        spec = ProblemSpec(kind=Kind.COULOMB3D_CONT)
-        loose = phi_values(spec, 1.0, [1.0], Method.SERIES, tol=1e-6)
-        tight = phi_values(spec, 1.0, [1.0], Method.SERIES, tol=1e-15)
-        assert seen == [{"tol": 1e-6}, {"tol": 1e-15}]
-        assert loose[0] == pytest.approx(tight[0], rel=1e-5)
-
     @pytest.mark.parametrize("kind,energy,method", [
         (Kind.COULOMB3D_CONT, 1.0, Method.REAL_INTEGRAL),
         (Kind.COULOMB3D_CONT, 1.0, Method.CIRCLE),
         (Kind.COULOMB3D, -0.5, Method.RESIDUE),
         (Kind.SHO1D_HERMITE, 2.5, Method.RESIDUE),
         (Kind.MORSE_CONT, 1.0, Method.MORSE_RAY),
+        (Kind.COULOMB3D_CONT, 1.0, Method.SERIES),
     ])
     def test_tolerance_rejected_where_ignored(self, kind, energy, method):
-        # these routes size their own rule or are closed forms
-        with pytest.raises(ValueError, match=f"method {method.value} takes no tol"):
+        # every route sizes its own rule or is a closed form: none takes a tol
+        with pytest.raises(TypeError, match="tol"):
             phi_values(ProblemSpec(kind=kind), energy, [1.0], method, tol=1e-12)
 
     def test_three_continuum_routes_cross_agree(self):
@@ -584,6 +600,15 @@ class TestPhiValuesDispatch:
         spec = ProblemSpec(kind=Kind.SHO1D_HERMITE)
         got = phi_values(spec, 2.5, np.array([0.0]), Method.RESIDUE)  # n = 2
         assert got[0] == pytest.approx(-2.0)  # H_2(0)
+
+    def test_hermite_kind_takes_only_lattice_energies(self):
+        # E = 2.7 is no oscillator level: no Hermite polynomial solves it
+        spec = ProblemSpec(kind=Kind.SHO1D_HERMITE)
+        for energy in (2.7, 2.5 + 1e-6, -0.5):
+            with pytest.raises(NonIntegerOrder, match="E/omega - 1/2"):
+                phi_values(spec, energy, [0.3], Method.RESIDUE)
+        got = phi_values(spec, 2.5 + 1e-10, [0.3], Method.RESIDUE)
+        assert got[0] == pytest.approx(4 * 0.3**2 - 2)
 
 
 class TestSampleWavefunction:

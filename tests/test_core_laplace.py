@@ -1,10 +1,11 @@
-"""Tests for the canonical ODE data, exponent pair, and phase-tracked integrand."""
+"""Tests for the canonical ODE data, exponent pair, and phase-tracked log terms."""
 
 import cmath
 import math
 from dataclasses import FrozenInstanceError
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +17,7 @@ from laplaceqm.core_laplace import (
     Regime,
     default_phase_convention,
     exponents,
-    integrand,
+    log_terms,
 )
 
 
@@ -183,6 +184,12 @@ class TestPhaseConvention:
             default_phase_convention(morse_ode(1.5, 2.0))
 
 
+def integrand(ode, exps, conv, xi, z, phases):
+    """The single-valued integrand at z: e^{xi z + t_plus + t_minus} times the reference phase."""
+    t_plus, t_minus = log_terms(ode, exps, z, phases)
+    return complex(np.exp(xi * z + t_plus + t_minus) * conv.reference_point_phase)
+
+
 class TestIntegrand:
     def setup_method(self):
         self.ode = continuum_ode(3.0, 1.4)
@@ -247,15 +254,8 @@ class TestIntegrand:
         # Re(a+) = 1/2 here, so (a+ - 1) has negative real part at z = lambda
         ode = continuum_ode(1.0, 0.5)
         exps = exponents(ode)
-        conv = default_phase_convention(ode)
         with pytest.raises(BranchPointEvaluation):
-            integrand(ode, exps, conv, 1.0, ode.lam, (0.0, 0.0))
-
-    def test_branch_point_vanishing_factor_returns_zero(self):
-        ode = continuum_ode(4.0, 0.0)  # a_pm = 2: factor (z - lambda)^1 -> 0
-        exps = exponents(ode)
-        conv = default_phase_convention(ode)
-        assert integrand(ode, exps, conv, 1.0, ode.lam, (0.0, 0.0)) == 0j
+            log_terms(ode, exps, ode.lam, (0.0, 0.0))
 
     def test_exponents_frozen(self):
         with pytest.raises(FrozenInstanceError):

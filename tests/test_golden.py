@@ -33,7 +33,7 @@ CASES = {
                                        "--param", "n=3", "--grid=-4,4,81"],
     "wavefunction_coulomb3d_cont_circle.csv": [
         "wavefunction", "--kind", "coulomb3d_cont", "--param", "E=1", "--method", "circle",
-        "--radius", "1.1", "--steps", "100000", "--grid", "0,10,21"],
+        "--radius", "1.1", "--grid", "0,10,21"],
     "wavefunction_coulomb3d_residue.csv": [
         "wavefunction", "--kind", "coulomb3d", "--param", "l=1", "--param", "n=3",
         "--grid", "0,40,201"],
