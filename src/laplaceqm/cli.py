@@ -12,6 +12,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -25,6 +26,7 @@ from .potential_catalog import (
     Kind,
     NotBoundProblem,
     ProblemSpec,
+    SPEC_FIELDS,
     RegimeMismatch,
     n_start,
 )
@@ -56,6 +58,9 @@ _INPUT_ERRORS = (RegimeMismatch, NotBoundProblem, InvalidQuantumNumbers, DomainE
 _INT_PARAMS = {"n", "m", "l", "n_max"}
 _FLOAT_PARAMS = {"E", "V0", "a", "a0", "omega", "mu"}
 _PARAM_KEYS = _INT_PARAMS | _FLOAT_PARAMS
+# problem keys and the ProblemSpec fields they set; E, n and n_max are state keys
+_PROBLEM_KEYS = {"mu": "mu", "omega": "omega", "a0": "a0", "a": "morse_a", "V0": "morse_v0",
+                 "m": "m_quantum", "l": "l_quantum"}
 _FILE_KEYS = {"kind", "method", "grid", "radius", "out"} | _PARAM_KEYS
 
 
@@ -78,7 +83,9 @@ class RunConfig:
                 raise ConfigError(f"{self.command} does not use --{name}{where}")
         unused = {"spectrum": ("E", "n"), "validate": ("n", "n_max"),
                   "wavefunction": ("E" if self.kind in BOUND_KINDS else "n", "n_max")}
-        for key in unused[self.command]:
+        unread = [key for key, field in _PROBLEM_KEYS.items()
+                  if field not in SPEC_FIELDS[self.kind]]
+        for key in (*unused[self.command], *unread):
             if key in self.params:
                 raise ConfigError(
                     f"{self.command} does not use --param {key} for {self.kind.value}")
@@ -94,18 +101,10 @@ class RunConfig:
             self.contour()
 
     def problem(self) -> ProblemSpec:
-        p = self.params
+        fields = {field: self.params[key] for key, field in _PROBLEM_KEYS.items()
+                  if key in self.params}
         try:
-            return ProblemSpec(
-                kind=self.kind,
-                mu=float(p.get("mu", 1.0)),
-                omega=float(p.get("omega", 1.0)),
-                a0=float(p.get("a0", 1.0)),
-                morse_a=float(p.get("a", 1.0)),
-                morse_v0=float(p.get("V0", 1.0)),
-                m_quantum=int(p.get("m", 0)),
-                l_quantum=int(p.get("l", 0)),
-            )
+            return ProblemSpec(kind=self.kind, **fields)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -120,12 +119,22 @@ class RunConfig:
 # CSV rendering and reading
 
 
+def _cell_format(cell_type: type) -> str:
+    """The % format of a cell: str as is, integers in full, anything else as a float."""
+    if issubclass(cell_type, str):
+        return "%s"
+    if issubclass(cell_type, (int, np.integer)):
+        return "%d"
+    return "%.12e"
+
+
 def _format_cell(v: Cell) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return "%.12e" % float(v)
+    return _cell_format(type(v)) % (v,)
+
+
+@lru_cache(maxsize=64)
+def _row_format(cell_types: Tuple[type, ...]) -> str:
+    return ",".join(map(_cell_format, cell_types))
 
 
 def render_csv(
@@ -133,9 +142,11 @@ def render_csv(
     rows: Sequence[Sequence[Cell]],
     footers: Sequence[str] = (),
 ) -> str:
+    """CSV text: one line per row, each cell formatted by _format_cell's rule."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_format_cell(v) for v in row))
+        row = tuple(row)
+        lines.append(_row_format(tuple(map(type, row))) % row)
     for note in footers:
         lines.append("# " + note)
     return "\n".join(lines) + "\n"
@@ -221,10 +232,9 @@ def cmd_wavefunction(cfg: RunConfig) -> str:
         raise EvaluationFailure(
             f"evaluation failed at point {i} (coordinate={coords[i]:.6g}): {exc}"
         ) from exc
-    rows = [
-        (x, xi, phi.real, phi.imag, psi.real, psi.imag, method.value)
-        for x, xi, phi, psi in zip(grid.coordinates, grid.xi, grid.phi, grid.psi)
-    ]
+    columns = [grid.coordinates, grid.xi, grid.phi.real, grid.phi.imag, grid.psi.real,
+               grid.psi.imag]
+    rows = [row + (method.value,) for row in zip(*(c.tolist() for c in columns))]
     return render_csv(
         ["coordinate", "xi", "re_phi", "im_phi", "re_psi", "im_psi", "method"], rows
     )
@@ -249,14 +259,11 @@ def cmd_validate(cfg: RunConfig) -> str:
         header += [f"re_{m.value}", f"im_{m.value}"]
     header += [f"dev_{a.value}_{b.value}" for a, b in report.pairwise_rel_dev]
 
-    rows = []
-    for i, xi in enumerate(report.grid):
-        row: List[Cell] = [xi]
-        for m in methods:
-            v = report.values[m][i]
-            row += [v.real, v.imag]
-        row += [dev[i] for dev in report.pairwise_rel_dev.values()]
-        rows.append(row)
+    columns: List[List[float]] = [list(report.grid)]
+    for m in methods:
+        columns += [report.values[m].real.tolist(), report.values[m].imag.tolist()]
+    columns += [dev.tolist() for dev in report.pairwise_rel_dev.values()]
+    rows = list(zip(*columns))
 
     footers = [f"pairwise_max_rel_dev = {report.pairwise_max_rel_dev:.6e}"]
     for m in methods:
@@ -318,7 +325,9 @@ def _read_config_file(path: str) -> Dict[str, str]:
     return out
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parse_args leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="laplaceqm",
         description="Schrodinger solver built on contour integrals in the Laplace plane",

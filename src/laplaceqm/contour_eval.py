@@ -471,12 +471,12 @@ def phi_values(
     """Phi(xi) on an array of xi values by the chosen method.
 
     The one loop over grid points. The residue routes are closed forms
-    evaluated on the whole array, at lattice energies only
-    (NonIntegerOrder otherwise); every other route is called once per xi,
-    in order, and sizes its own rule. Evaluation stops at the first point
-    that fails, and a non-finite value is a failure (FloatingPointError
-    naming the route and xi). That point's exception propagates with its
-    index in ``.point``.  config sets the circle's radius.
+    evaluated and checked for finiteness on the whole array, at lattice
+    energies only (NonIntegerOrder otherwise); every other route is called
+    once per xi, in order, and sizes its own rule. Evaluation stops at the
+    first point that fails, and a non-finite value is a failure
+    (FloatingPointError naming the route and xi). That point's exception
+    propagates with its index in ``.point``.  config sets the circle's radius.
     """
     _check_method(spec, method)
     xs = np.asarray(xi_values, dtype=float)
@@ -495,7 +495,13 @@ def phi_values(
         else:
             route = _point_route(ode, exps, method, config)
             values = np.empty(xs.shape, dtype=complex)
-    for i, x in enumerate(xs):
+    points = range(len(xs))
+    if route is None:
+        # a closed form is checked over the whole array at once; the loop
+        # only visits its first non-finite point, to raise there
+        points = np.flatnonzero(~np.isfinite(values))[:1].tolist()
+    for i in points:
+        x = xs[i]
         try:
             if route is not None:
                 values[i] = route(x)

@@ -104,6 +104,29 @@ class ProblemSpec:
             raise InvalidQuantumNumbers("l must be >= 0")
 
 
+_OSCILLATOR = frozenset({"omega", "mu"})
+_COULOMB = frozenset({"mu", "a0"})
+_MORSE = frozenset({"mu", "morse_a", "morse_v0"})
+
+# The ProblemSpec fields each kind reads: canonicalize, coordinate_map and
+# bound_energy are unchanged by every other field.
+SPEC_FIELDS = {
+    Kind.SHO1D_EVEN: _OSCILLATOR,
+    Kind.SHO1D_ODD: _OSCILLATOR,
+    Kind.SHO1D_HERMITE: _OSCILLATOR,
+    Kind.SHO2D: _OSCILLATOR | {"m_quantum"},
+    Kind.SHO3D: _OSCILLATOR | {"l_quantum"},
+    Kind.COULOMB2D: _COULOMB | {"m_quantum"},
+    Kind.COULOMB2D_CONT: _COULOMB | {"m_quantum"},
+    Kind.COULOMB3D: _COULOMB | {"l_quantum"},
+    Kind.COULOMB3D_CONT: _COULOMB | {"l_quantum"},
+    Kind.FREE2D: frozenset({"mu", "m_quantum"}),
+    Kind.FREE3D: frozenset({"mu", "l_quantum"}),
+    Kind.MORSE: _MORSE,
+    Kind.MORSE_CONT: _MORSE,
+}
+
+
 @dataclass(frozen=True)
 class QuantumNumbers:
     """Printed label n and residue order N; the kind fixes their relation."""

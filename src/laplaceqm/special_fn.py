@@ -38,6 +38,10 @@ class PrecisionLoss(RuntimeWarning):
     """Result returned, but cancellation has likely eaten the tolerance."""
 
 
+class _Cancelled(ArithmeticError):
+    """The two terms of U's connection formula cancel past _U_CANCELLATION."""
+
+
 # ---------------------------------------------------------------------------
 # Gamma
 
@@ -156,6 +160,10 @@ def kummer_m(a, b, z) -> complex:
 _EPS = float(np.finfo(float).eps)
 _PRECISION_LOSS = 1e-6  # eps * sum|summand| / |sum| above this warns
 _HALVINGS = 6  # a double-exponential rule halves its step at most this often
+# U's connection formula hands a point to the integrals above this rounding
+# loss: the Morse continuum's Kummer points in perfbench's morse_scan stay
+# below 5.3e-12, while U(2.5+6i, 0.5, 12.5), off by 0.20, measures 1.3e-2
+_U_CANCELLATION = 1e-10
 
 
 def _de_abscissae(lo: float, hi: float, h0: float):
@@ -314,6 +322,8 @@ def _tricomi_u_kummer(a: complex, b: complex, x: float) -> complex:
     U = G(1-b)/G(a-b+1) M(a,b,x) + G(b-1)/G(a) x^(1-b) M(a-b+1,2-b,x).
     Both M values grow like e^x while U may stay O(x^-Re(a)), so this form
     is only trustworthy for moderate x; the caller picks the crossover.
+    Where the two terms cancel, eps * (|t1| + |t2|) above _U_CANCELLATION of
+    |t1 + t2|, it raises _Cancelled and the caller takes U's integrals.
     """
     t1 = gamma_complex(1.0 - b) / gamma_complex(a - b + 1.0) * kummer_m(a, b, complex(x))
     try:
@@ -326,7 +336,10 @@ def _tricomi_u_kummer(a: complex, b: complex, x: float) -> complex:
         * cmath.exp((1.0 - b) * math.log(x))
         * kummer_m(a - b + 1.0, 2.0 - b, complex(x))
     )
-    return t1 + t2
+    total = t1 + t2
+    if _EPS * (abs(t1) + abs(t2)) > _U_CANCELLATION * abs(total):
+        raise _Cancelled(f"U's two M terms cancel at a = {a:.6g}, b = {b:.6g}, x = {x:.6g}")
+    return total
 
 
 def _u_ray_sum(a: complex, b: complex, x: float, r: float, level: int):
@@ -385,7 +398,7 @@ def tricomi_u(a, b, x) -> complex:
     if x <= crossover and not b_near_pole:
         try:
             return _tricomi_u_kummer(a, b, x)
-        except (PoleError, SeriesDivergence):
+        except (PoleError, SeriesDivergence, _Cancelled):
             pass  # fall through to the integral
 
     def ray(r):

@@ -7,8 +7,11 @@ import shutil
 import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+import laplaceqm.cli as cli
 import laplaceqm.contour_eval as ce
 import laplaceqm.special_fn as sf
 from laplaceqm.cli import (
@@ -477,6 +480,39 @@ class TestConfigHandling:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {argv[0]} does not use --param {key} for {argv[2]}")
 
+    @pytest.mark.parametrize("argv,key", [
+        (("spectrum", "--kind", "coulomb3d", "--param", "V0=3", "--param", "m=2",
+          "--param", "omega=7", "--param", "n_max=1"), "omega"),
+        (("spectrum", "--kind", "sho2d", "--param", "l=1"), "l"),
+        (("validate", "--kind", "free3d", "--param", "E=1", "--param", "a0=2",
+          "--grid", "1,2,2"), "a0"),
+        (("wavefunction", "--kind", "morse_cont", "--param", "E=1", "--param", "m=1",
+          "--grid=-1,1,3"), "m"),
+        (("wavefunction", "--kind", "sho1d_hermite", "--param", "a=2",
+          "--grid=-1,1,3"), "a"),
+    ])
+    def test_unread_problem_key_rejected(self, capsys, argv, key):
+        # a key outside the kind's ProblemSpec fields would change nothing
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {argv[0]} does not use --param {key} for {argv[2]}\n"
+
+    def test_unread_problem_key_in_config_file_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kind=sho1d_even\nV0=3\n")
+        code, out, err = run(capsys, "spectrum", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == "error: spectrum does not use --param V0 for sho1d_even\n"
+
+    def test_parser_built_once_without_leaking_params(self, capsys):
+        cli._build_parser.cache_clear()
+        code, out, _ = run(capsys, "spectrum", "--kind", "sho2d", "--param", "m=1",
+                           "--param", "n_max=1")
+        assert (code, out) == (0, "n,N,E\n0,0,2.000000000000e+00\n1,1,4.000000000000e+00\n")
+        code, out, _ = run(capsys, "spectrum", "--kind", "sho2d", "--param", "n_max=1")
+        assert (code, out) == (0, "n,N,E\n0,0,1.000000000000e+00\n1,1,3.000000000000e+00\n")
+        assert cli._build_parser.cache_info().misses == 1
+
     @pytest.mark.parametrize("line", ["stepz=5", "steps=5000", "tol=1e-9", "config=x.cfg"])
     def test_unknown_config_key_rejected(self, capsys, tmp_path, line):
         cfg = tmp_path / "run.cfg"
@@ -515,11 +551,44 @@ class TestConfigHandling:
         capsys.readouterr()
 
 
+# every cell type the subcommands emit or read_csv parses, with the values
+# whose formatting is easy to get wrong
+CELLS = st.one_of(
+    st.text(alphabet=st.characters(blacklist_characters=",\n\r")),
+    st.integers(),
+    st.booleans(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, np.float64(-0.0)]),
+)
+
+
+def _reference_cell(v) -> str:
+    """The cell rule written out per value: str as is, integers in full, else %.12e."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return "%.12e" % float(v)
+
+
 class TestCsvContracts:
     def test_formatting(self):
         assert _format_cell(3) == "3"
         assert _format_cell(0.5) == "5.000000000000e-01"
         assert _format_cell("series") == "series"
+
+    @given(rows=st.lists(st.lists(CELLS, min_size=1, max_size=6), max_size=6))
+    @example(rows=[[1, 0.5, "x"], [np.int64(1), np.float64(0.5), "x"], ["1", True, -0.0],
+                   [False, math.nan, np.int64(-3)], [1, 0.5, "x"]])
+    def test_render_matches_per_cell_rule(self, rows):
+        header = ["a", "b"]
+        want = "a,b\n" + "".join(
+            ",".join(_format_cell(v) for v in row) + "\n" for row in rows) + "# note\n"
+        assert render_csv(header, rows, ["note"]) == want
+        assert [[_format_cell(v) for v in row] for row in rows] == [
+            [_reference_cell(v) for v in row] for row in rows]
 
     def test_round_trip_idempotence(self, capsys):
         code, out, _ = run(capsys, "validate", "--kind", "free3d",

@@ -596,6 +596,19 @@ class TestPhiValuesDispatch:
             phi_values(spec, 1.0, [1.0, 1000.0], Method.CIRCLE)
         assert info.value.point == 1
 
+    def test_closed_form_fails_at_its_first_non_finite_point(self, monkeypatch):
+        def broken(ode, N, xi):
+            values = np.asarray(residue(ode, N, xi), dtype=complex)
+            values[2], values[3] = complex(math.inf, 0.0), complex(math.nan, 0.0)
+            return values
+
+        residue = ce.bound_phi_residue
+        monkeypatch.setattr(ce, "bound_phi_residue", broken)
+        spec = ProblemSpec(kind=Kind.COULOMB3D)
+        with pytest.raises(FloatingPointError, match=r"residue route gave \(inf\+0j\) at xi = 3$") as info:
+            phi_values(spec, -0.5, [1.0, 2.0, 3.0, 4.0], Method.RESIDUE)
+        assert info.value.point == 2
+
     def test_hermite_kind_takes_energy(self):
         spec = ProblemSpec(kind=Kind.SHO1D_HERMITE)
         got = phi_values(spec, 2.5, np.array([0.0]), Method.RESIDUE)  # n = 2

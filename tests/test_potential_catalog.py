@@ -1,5 +1,6 @@
 """Catalog tests: canonical triples, closed-form levels, quantization round trips."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from laplaceqm.potential_catalog import (
     CONTINUUM_KINDS,
     LAGUERRE_BOUND_KINDS,
     RADIAL_KINDS,
+    SPEC_FIELDS,
     DomainError,
     InvalidQuantumNumbers,
     Kind,
@@ -55,6 +57,39 @@ class TestKindSets:
     def test_spec_rejects_non_finite(self, name, value):
         with pytest.raises(ValueError, match=name):
             ProblemSpec(kind=Kind.COULOMB3D, **{name: value})
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:  # RegimeMismatch, InvalidQuantumNumbers
+        return type(exc)
+
+
+class TestSpecFields:
+    CHANGES = {"mu": 1.7, "omega": 1.7, "a0": 1.7, "morse_a": 1.7, "morse_v0": 1.7,
+               "m_quantum": 2, "l_quantum": 2}
+    COORDS = np.array([0.3, 1.1, 2.0])
+
+    def reads(self, spec, energy):
+        cmap = coordinate_map(spec, energy)
+        out = [_outcome(canonicalize, spec, energy),
+               cmap.xi(self.COORDS).tolist(), cmap.prefactor(self.COORDS).tolist()]
+        if spec.kind in BOUND_KINDS:
+            out.append(_outcome(bound_energy, spec, n_start(spec) + 1))
+        return out
+
+    @pytest.mark.parametrize("kind", list(Kind))
+    def test_kind_reads_exactly_its_fields(self, kind):
+        # a field outside SPEC_FIELDS[kind] changes none of canonicalize,
+        # coordinate_map and bound_energy; a field inside changes one of them
+        base = ProblemSpec(kind=kind)
+        energy = bound_energy(base, n_start(base)) if kind in BOUND_KINDS else 1.3
+        assert SPEC_FIELDS[kind] <= set(self.CHANGES)
+        for field, value in self.CHANGES.items():
+            changed = dataclasses.replace(base, **{field: value})
+            moved = self.reads(changed, energy) != self.reads(base, energy)
+            assert moved == (field in SPEC_FIELDS[kind]), field
 
 
 class TestCanonicalize:

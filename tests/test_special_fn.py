@@ -22,6 +22,8 @@ from laplaceqm.special_fn import (
     QuadratureFailure,
     SeriesDivergence,
     _adaptive_gauss,
+    _Cancelled,
+    _tricomi_u_kummer,
     gamma_complex,
     hermite,
     hermite_coefficients,
@@ -287,6 +289,29 @@ class TestTricomiU:
     def test_against_mpmath(self):
         for a, b, x, want in self.MPMATH:
             assert abs(tricomi_u(a, b, x) - want) <= 1e-12 * abs(want), (a, b, x)
+
+    @pytest.mark.filterwarnings("error::laplaceqm.special_fn.PrecisionLoss")
+    @pytest.mark.parametrize("b", [0.5, 1 + 0.4j])
+    def test_cancelled_connection_formula_hands_over(self, b):
+        # below the crossover the two M terms cancel to a rounding loss of
+        # 1.3e-2 (b = 0.5) and 4.2e-3: their sum was off by 0.20 and 5.5e-2
+        mpmath = pytest.importorskip("mpmath")
+        a, x = 2.5 + 6j, 12.5
+        with pytest.raises(_Cancelled):
+            _tricomi_u_kummer(a, b, x)
+        with mpmath.workdps(40):
+            want = complex(mpmath.hyperu(a, b, x))
+        assert abs(tricomi_u(a, b, x) - want) <= 1e-13 * abs(want)
+
+    def test_connection_formula_kept_below_the_threshold(self):
+        # rounding loss 2.8e-13: the Kummer branch answers, to 6e-13
+        mpmath = pytest.importorskip("mpmath")
+        a, b, x = 1 + 0.5j, 0.5, 3.0
+        got = tricomi_u(a, b, x)
+        assert got == _tricomi_u_kummer(a, b, x)
+        with mpmath.workdps(40):
+            want = complex(mpmath.hyperu(a, b, x))
+        assert abs(got - want) <= 1e-11 * abs(want)
 
     def test_cancelled_loop_warns(self):
         # b = 1 sends small x past the Kummer form; the loop's circle is held
