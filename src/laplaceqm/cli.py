@@ -128,10 +128,6 @@ def _cell_format(cell_type: type) -> str:
     return "%.12e"
 
 
-def _format_cell(v: Cell) -> str:
-    return _cell_format(type(v)) % (v,)
-
-
 @lru_cache(maxsize=64)
 def _row_format(cell_types: Tuple[type, ...]) -> str:
     return ",".join(map(_cell_format, cell_types))
@@ -142,7 +138,7 @@ def render_csv(
     rows: Sequence[Sequence[Cell]],
     footers: Sequence[str] = (),
 ) -> str:
-    """CSV text: one line per row, each cell formatted by _format_cell's rule."""
+    """CSV text: one line per row, each cell formatted by _cell_format's rule."""
     lines = [",".join(header)]
     for row in rows:
         row = tuple(row)

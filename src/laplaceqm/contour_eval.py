@@ -23,7 +23,6 @@ from . import potential_catalog as catalog
 from .core_laplace import (
     CanonicalODE,
     Exponents,
-    PhaseConvention,
     Regime,
     default_phase_convention,
     degenerate_free,
@@ -35,10 +34,9 @@ from .special_fn import (
     _RAY_H0,
     _RAY_LEVELS,
     PrecisionLoss,  # noqa: F401  (raised by every route; importable from here)
-    _converged,
     _de_abscissae,
     _frozen,
-    _nested,
+    _refine,
     _segment_panels,
     _warn_inexact,
     gamma_complex,
@@ -104,6 +102,27 @@ class WavefunctionGrid:
     method: Method
     problem: catalog.ProblemSpec
     energy: float
+
+
+def _each_point(xi, point):
+    """point(x) at each xi in order, as a complex array; a scalar xi gives a complex.
+
+    The one loop over a route's grid points.  It stops at the first point
+    that raises, its exception carrying its index in ``.point``, or that is
+    not finite; the points after it are not evaluated and read NaN.
+    """
+    xs = np.asarray(xi, dtype=float)
+    values = np.empty(xs.size, dtype=complex)
+    for i, x in enumerate(xs.ravel().tolist()):
+        try:
+            value = values[i] = point(x)
+        except Exception as exc:
+            exc.point = i
+            raise
+        if not cmath.isfinite(value):
+            values[i + 1:] = complex(math.nan, math.nan)
+            break
+    return values.reshape(xs.shape) if xs.ndim else complex(values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +268,8 @@ def _tanh_sinh_sum(exps: Exponents, xi: float, level: int):
     return np.sum(summand), np.sum(np.abs(summand))
 
 
-def continuum_phi_real_integral(ode: CanonicalODE, exps: Exponents, xi: float) -> complex:
-    """Phi from the segment integral between the branch points.
+def continuum_phi_real_integral(ode: CanonicalODE, exps: Exponents, xi):
+    """Phi from the segment integral between the branch points, at each xi.
 
     Phi(xi) = C * 2^(beta-1) * e^{-i xi} * I, with C the edge factor and
     I = int_0^1 e^{2 i xi x} (1-x)^(alpha_plus - 1) x^(alpha_minus - 1) dx.
@@ -260,23 +279,23 @@ def continuum_phi_real_integral(ode: CanonicalODE, exps: Exponents, xi: float) -
     on the segment with a tanh-sinh rule (Takahasi & Mori, Publ. RIMS 9
     (1974) 721-741).  Either rule halves its step up to six times, each
     level adding only the new nodes, and stops at the first level that
-    agrees with the one before (see _converged): the Coulomb phase
+    agrees with the one before (see _refine): the Coulomb phase
     x^(-i eta) oscillates faster as the energy falls.  PrecisionLoss is
     warned when the rounding error eps * sum|summand| exceeds 1e-6 of the
-    sum, or when the finest level does not converge.
+    sum, or when the finest level does not converge.  C is built once a call.
     """
     if ode.regime is not Regime.CONTINUUM:
         raise MethodRegimeMismatch("segment integral applies to the continuum regime")
     pref = _edge_prefactor(ode, exps)
-    xi = float(xi)
-    if xi >= 1.0:
-        rule, level_sum = _RAY_H0, _ray_sum
-    else:
-        rule, level_sum = _SEGMENT_H0, _tanh_sinh_sum
-    levels = ((rule / 2**k, *level_sum(exps, xi, k)) for k in range(_HALVINGS + 1))
-    total, mass, converged = _converged(_nested(levels))
-    _warn_inexact(f"real integral at xi = {xi:.3g}", total, mass, converged)
-    return pref * cmath.exp(-1j * xi) * total
+
+    def point(x):
+        h0, level_sum = (_RAY_H0, _ray_sum) if x >= 1.0 else (_SEGMENT_H0, _tanh_sinh_sum)
+        total, mass, converged = _refine(
+            (level_sum(exps, x, k) for k in range(_HALVINGS + 1)), h0)
+        _warn_inexact(f"real integral at xi = {x:.3g}", total, mass, converged)
+        return pref * cmath.exp(-1j * x) * total
+
+    return _each_point(xi, point)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +355,7 @@ _CIRCLE_LEVELS = tuple(ContourConfig.steps // 2**k for k in range(5, -1, -1))
 
 
 def _circle_level_sums(ode: CanonicalODE, exps: Exponents, radius_R: float, xi: float):
-    """(h, sum, sum of |summand|) per level: every node of the coarsest, then the new ones."""
+    """(sum, sum of |summand|) per level: every node of the coarsest, then the new ones."""
     for k, steps in enumerate(_CIRCLE_LEVELS):
         if k == 0:
             z, t_plus, t_minus = _circle_terms(ode, exps, radius_R, steps)
@@ -346,7 +365,7 @@ def _circle_level_sums(ode: CanonicalODE, exps: Exponents, radius_R: float, xi: 
             logf = xi * z + t_plus + t_minus
             summand = 1j * z * np.exp(logf)
             sums = np.sum(summand), np.sum(np.abs(summand))
-        yield (2.0 * math.pi / steps, *sums)
+        yield sums
 
 
 def _segment_sum(power: int, xi: float, panels: int):
@@ -358,49 +377,55 @@ def _segment_sum(power: int, xi: float, panels: int):
 def continuum_phi_circle(
     ode: CanonicalODE,
     exps: Exponents,
-    convention: PhaseConvention,
-    xi: float,
+    convention: complex,
+    xi,
     config: Optional[ContourConfig] = None,
-) -> complex:
-    """Phi from the uniform-step rule on the circle |z| = R.
+):
+    """Phi from the uniform-step rule on the circle |z| = R, at each xi.
 
     The integrand is smooth and periodic, so the plain trapezoid converges
     geometrically: the rule runs at 3125, 6250, ..., 100000 nodes, each
     level adding only the odd nodes to the one below it, and stops at the
-    first level that agrees with the one below it (see _converged); a point
-    that converges at once evaluates 6250 summands.  config sets only R.
+    first level that agrees with the one below it (see _refine); a point
+    that converges at once evaluates 6250 summands.  config sets only R, and
+    convention is the reference-point phase (default_phase_convention).
     Accuracy is instead lost to cancellation once R*xi grows; when the
-    rounding error eps * sum|summand| exceeds 1e-6 of the sum, or the sum
-    is not finite, PrecisionLoss is warned. In the degenerate free case the
-    closed loop encloses nothing and vanishes identically, so the rule
-    integrates straight across the branch-point segment instead, with
-    composite 20-point Gauss-Legendre panels doubled until two estimates
-    agree (at most 4096 panels); that value is what the closed contour
-    degenerates to and is independent of R.  Only the factor
-    e^{xi z} is computed per call; the rest comes from _circle_terms, built
-    once per (ode, R, level), or from the panel tables.
+    rounding error eps * sum|summand| exceeds 1e-6 of the sum, the sum
+    is not finite, or the finest level does not converge, PrecisionLoss is
+    warned. In the degenerate free case the closed loop encloses nothing
+    and vanishes identically, so the rule integrates straight across the
+    branch-point segment instead, with composite 20-point Gauss-Legendre
+    panels doubled until two estimates agree (at most 4096 panels), warned
+    alike; that value is what the closed contour degenerates to and is
+    independent of R.  Only the factor e^{xi z} is computed per point; the
+    rest comes from _circle_terms, built once per (ode, R, level), or from
+    the panel tables.
     """
     if ode.regime is not Regime.CONTINUUM:
         raise MethodRegimeMismatch("circle rule applies to the continuum regime")
     r = (config or ContourConfig()).radius_R
-    xi = float(xi)
-    if degenerate_free(ode, exps):
-        # here alpha_+- are the same integer, so the moduli combine exactly
-        power = int(round(exps.alpha_plus.real)) - 1
-        total, mass, _ = _converged(_segment_sum(power, xi, 2**k) for k in range(13))
-        value = 1j * total
-    else:
-        total, mass, _ = _converged(_nested(_circle_level_sums(ode, exps, r, xi)))
-        value = total * convention.reference_point_phase
-    _warn_inexact(f"circle sum at R*xi = {r * xi:.3g}", total, mass)
-    return complex(value)
+    free = degenerate_free(ode, exps)
+    power = int(round(exps.alpha_plus.real)) - 1  # free: alpha_+- one integer, moduli combine
+
+    def point(x):
+        if free:
+            total, mass, converged = _refine(_segment_sum(power, x, 2**k) for k in range(13))
+            value = 1j * total
+        else:
+            total, mass, converged = _refine(_circle_level_sums(ode, exps, r, x),
+                                             2.0 * math.pi / _CIRCLE_LEVELS[0])
+            value = total * convention
+        _warn_inexact(f"circle sum at R*xi = {r * x:.3g}", total, mass, converged)
+        return complex(value)
+
+    return _each_point(xi, point)
 
 
 # ---------------------------------------------------------------------------
 # Continuum: series route
 
-def continuum_phi_series(ode: CanonicalODE, exps: Exponents, xi: float) -> complex:
-    """Phi as -2 pi i times the residue at infinity of the cut integrand.
+def continuum_phi_series(ode: CanonicalODE, exps: Exponents, xi):
+    """Phi as -2 pi i times the residue at infinity of the cut integrand, at each xi.
 
     The Laurent tail sums to a Kummer function, leaving
     -2 pi i e^{-pi delta/2} (e^{2 pi i alpha_plus} - 1)/(4 pi) 2^beta
@@ -408,38 +433,43 @@ def continuum_phi_series(ode: CanonicalODE, exps: Exponents, xi: float) -> compl
     * M(alpha_minus, beta, 2 i xi), identical to the segment result.  The
     factor before the Gammas is the real integral's edge factor times
     2^(beta-1), so it keeps its digits as delta -> 0, stays finite up to
-    the same |delta| and raises the same OverflowError past it.  kummer_m
-    warns PrecisionLoss when its measured rounding error exceeds 1e-6 of M.
+    the same |delta| and raises the same OverflowError past it.  Everything
+    but the last two factors is computed once per call.  kummer_m warns
+    PrecisionLoss when its measured rounding error exceeds 1e-6 of M.
     """
     if ode.regime is not Regime.CONTINUUM:
         raise MethodRegimeMismatch("series route applies to the continuum regime")
     ap, am = exps.alpha_plus, exps.alpha_minus
     beta = ap + am
-    xi = float(xi)
     pref = _edge_prefactor(ode, exps)
     ratio = gamma_complex(ap) * gamma_complex(am) / gamma_complex(beta)
-    return pref * ratio * cmath.exp(-1j * xi) * kummer_m(am, beta, 2j * xi)
+    return _each_point(
+        xi, lambda x: pref * ratio * cmath.exp(-1j * x) * kummer_m(am, beta, 2j * x))
 
 
 # ---------------------------------------------------------------------------
 # Morse continuum: ray route
 
-def morse_continuum_phi(ode: CanonicalODE, exps: Exponents, xi: float) -> complex:
-    """Phi from the ray z = -lambda - t, t in (0, inf).
+def morse_continuum_phi(ode: CanonicalODE, exps: Exponents, xi):
+    """Phi from the ray z = -lambda - t, t in (0, inf), at each xi > 0.
 
     Collapses to (-1)^(beta-1) Gamma(alpha_minus) e^{-xi/2}
     U(alpha_minus, beta, xi) with (-1)^(beta-1) = e^{i pi (beta-1)}.
     Re(alpha_minus) may be nonpositive: past its Kummer crossover
     tricomi_u sums U's Hankel loop, which holds for any alpha_minus, and
-    sizes its rule by convergence, so the route takes no tolerance.
+    sizes its rule by convergence, so the route takes no tolerance.  The
+    factor before e^{-xi/2} is computed once per call.
     """
     if ode.regime is not Regime.MORSE_CONTINUUM:
         raise MethodRegimeMismatch("ray route applies to the Morse continuum")
-    xi = float(xi)
-    if xi <= 0:
-        raise ValueError("Morse xi must be positive")
     pref = cmath.exp(1j * math.pi * (ode.beta - 1.0)) * gamma_complex(exps.alpha_minus)
-    return pref * math.exp(-0.5 * xi) * tricomi_u(exps.alpha_minus, ode.beta, xi)
+
+    def point(x):
+        if x <= 0:
+            raise ValueError("Morse xi must be positive")
+        return pref * math.exp(-0.5 * x) * tricomi_u(exps.alpha_minus, ode.beta, x)
+
+    return _each_point(xi, point)
 
 
 # ---------------------------------------------------------------------------
@@ -448,17 +478,6 @@ def morse_continuum_phi(ode: CanonicalODE, exps: Exponents, xi: float) -> comple
 def _check_method(spec: catalog.ProblemSpec, method: Method):
     if method not in ROUTES[spec.kind]:
         raise MethodRegimeMismatch(f"method {method.value} not valid for {spec.kind.value}")
-
-
-def _point_route(ode: CanonicalODE, exps: Exponents, method: Method,
-                 config: Optional[ContourConfig]):
-    """The quadrature or series route as a function of one xi."""
-    if method is Method.CIRCLE:
-        conv = default_phase_convention(ode)
-        return lambda x: continuum_phi_circle(ode, exps, conv, x, config)
-    route = {Method.REAL_INTEGRAL: continuum_phi_real_integral,
-             Method.SERIES: continuum_phi_series}.get(method, morse_continuum_phi)
-    return lambda x: route(ode, exps, x)
 
 
 def phi_values(
@@ -470,17 +489,16 @@ def phi_values(
 ) -> np.ndarray:
     """Phi(xi) on an array of xi values by the chosen method.
 
-    The one loop over grid points. The residue routes are closed forms
-    evaluated and checked for finiteness on the whole array, at lattice
-    energies only (NonIntegerOrder otherwise); every other route is called
-    once per xi, in order, and sizes its own rule. Evaluation stops at the
-    first point that fails, and a non-finite value is a failure
-    (FloatingPointError naming the route and xi). That point's exception
-    propagates with its index in ``.point``.  config sets the circle's radius.
+    Calls the route once with the whole grid.  The residue routes are
+    closed forms, at lattice energies only (NonIntegerOrder otherwise); the
+    others size their own rule per point and stop at the first point that
+    raises, its exception carrying the index in ``.point``, or that is not
+    finite.  The values are then checked for finiteness at once: the first
+    non-finite one raises FloatingPointError naming the route and xi, with
+    its index in ``.point``.  config sets the circle's radius.
     """
     _check_method(spec, method)
     xs = np.asarray(xi_values, dtype=float)
-    route = None
     if spec.kind is catalog.Kind.SHO1D_HERMITE:
         order = energy / spec.omega - 0.5
         n = round(order)
@@ -490,28 +508,19 @@ def phi_values(
         ode = catalog.canonicalize(spec, energy)
         exps = exponents(ode)
         if method is Method.RESIDUE:
-            N = round(-exps.alpha_minus.real)
-            values = np.asarray(bound_phi_residue(ode, N, xs), dtype=complex)
+            values = bound_phi_residue(ode, round(-exps.alpha_minus.real), xs)
+        elif method is Method.CIRCLE:
+            values = continuum_phi_circle(ode, exps, default_phase_convention(ode), xs, config)
         else:
-            route = _point_route(ode, exps, method, config)
-            values = np.empty(xs.shape, dtype=complex)
-    points = range(len(xs))
-    if route is None:
-        # a closed form is checked over the whole array at once; the loop
-        # only visits its first non-finite point, to raise there
-        points = np.flatnonzero(~np.isfinite(values))[:1].tolist()
-    for i in points:
-        x = xs[i]
-        try:
-            if route is not None:
-                values[i] = route(x)
-            if not cmath.isfinite(values[i]):
-                raise FloatingPointError(
-                    f"{method.value} route gave {values[i]} at xi = {x:.6g}"
-                )
-        except Exception as exc:
-            exc.point = i
-            raise
+            route = {Method.REAL_INTEGRAL: continuum_phi_real_integral,
+                     Method.SERIES: continuum_phi_series}.get(method, morse_continuum_phi)
+            values = route(ode, exps, xs)
+    finite = np.isfinite(values)
+    if np.count_nonzero(finite) < finite.size:
+        i = int(finite.argmin())
+        exc = FloatingPointError(f"{method.value} route gave {values[i]} at xi = {xs[i]:.6g}")
+        exc.point = i
+        raise exc
     return values
 
 

@@ -68,18 +68,6 @@ class Exponents:
     alpha_minus: complex
 
 
-@dataclass(frozen=True)
-class PhaseConvention:
-    """Phase bookkeeping for the multivalued integrand.
-
-    reference_point_phase is the full phase bundle of the integrand factors
-    at the reference point with zero winding; winding angles supplied later
-    multiply on top of it.
-    """
-
-    reference_point_phase: complex
-
-
 def exponents(ode: CanonicalODE) -> Exponents:
     """alpha_+- = (beta*lambda +- delta) / (2 lambda); their sum is beta."""
     if ode.lam == 0:
@@ -91,9 +79,11 @@ def exponents(ode: CanonicalODE) -> Exponents:
     )
 
 
-def default_phase_convention(ode: CanonicalODE) -> PhaseConvention:
+def default_phase_convention(ode: CanonicalODE) -> complex:
     """Reference phase of the continuum dog-bone around the segment [-lambda, lambda].
 
+    The full phase bundle of the integrand factors at the reference point
+    with zero winding; winding angles supplied later multiply on top of it.
     The reference point sits on the segment's right edge at the origin,
     where both moduli are 1 and the factor phases combine to
     exp(-pi*delta/2). Only the continuum circle route has a reference point.
@@ -101,9 +91,7 @@ def default_phase_convention(ode: CanonicalODE) -> PhaseConvention:
     if ode.regime is not Regime.CONTINUUM:
         raise ValueError("phase convention is defined for the continuum regime only")
     exps = exponents(ode)
-    return PhaseConvention(
-        reference_point_phase=cmath.exp(0.5j * math.pi * (exps.alpha_minus - exps.alpha_plus))
-    )
+    return cmath.exp(0.5j * math.pi * (exps.alpha_minus - exps.alpha_plus))
 
 
 def degenerate_free(ode: CanonicalODE, exps: Exponents) -> bool:

@@ -11,11 +11,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
-from .core_laplace import CanonicalODE, Regime, exponents
+from .core_laplace import CanonicalODE, Regime
 
 
 class RegimeMismatch(ValueError):
@@ -357,37 +357,3 @@ def residue_lattice_energy(spec: ProblemSpec, N: int) -> float:
             f"Morse residue lattice exhausted: delta - N - 1/2 = {s:.6g} <= 0"
         )
     return -(spec.morse_a**2 / (2.0 * spec.mu)) * s * s
-
-
-_QUANT_TOL = 1e-9
-
-
-def quantization_check(spec: ProblemSpec, energy: float) -> Optional[QuantumNumbers]:
-    """Quantum numbers of E when it sits on the kind's quantization lattice.
-
-    The generic condition is -alpha_minus equal to a nonnegative integer N.
-    The Morse catalog's closed-form levels correspond to -alpha_minus =
-    n - 1/2, so for that kind the half step is absorbed before rounding,
-    making the check the exact inverse of bound_energy. Returns None when
-    E is off the lattice.
-    """
-    if spec.kind not in BOUND_KINDS:
-        raise NotBoundProblem(f"{spec.kind.value} is not a bound problem")
-    if spec.kind is Kind.SHO1D_HERMITE:
-        raw = energy / spec.omega - 0.5
-        n = round(raw)
-        if abs(raw - n) > _QUANT_TOL * max(1.0, abs(raw)) or n < 0:
-            return None
-        return QuantumNumbers(n=n, N=n)
-    exps = exponents(canonicalize(spec, energy))
-    raw = -exps.alpha_minus.real
-    if spec.kind is Kind.MORSE:
-        raw += 0.5
-        n = round(raw)
-        if abs(raw - n) > _QUANT_TOL * max(1.0, abs(raw)) or n < 0 or n >= morse_delta(spec):
-            return None
-        return QuantumNumbers(n=n, N=n)
-    N = round(raw)
-    if abs(raw - N) > _QUANT_TOL * max(1.0, abs(raw)) or N < 0:
-        return None
-    return QuantumNumbers(n=N + n_start(spec), N=N)

@@ -209,37 +209,29 @@ def _segment_panels(panels: int):
     return _frozen(y, w)
 
 
-def _nested(levels):
-    """Running (sum, sum of |summand|) of a rule whose step halves per level.
-
-    levels yields (h, sum, sum of |summand|) over the nodes each level adds,
-    coarsest first: T_2m = T_m / 2 + h_2m * sum over the new nodes.
-    """
-    total = mass = None
-    for h, part, part_mass in levels:
-        if total is None:
-            total, mass = part * h, part_mass * h
-        else:
-            total, mass = 0.5 * total + h * part, 0.5 * mass + h * part_mass
-        yield total, mass
-
-
-def _converged(estimates):
+def _refine(levels, h0=None):
     """(sum, sum of |summand|, converged) at the first estimate agreeing with the one before.
 
-    estimates yields both sums of successively finer rules.  Two successive
-    sums agree when they differ by at most 1e-13 relative or by the rounding
+    levels yields (sum, sum of |summand|) per level, coarsest first.  Given
+    h0, the rule halves its step per level and level k sums only the nodes
+    it adds, at step h0 / 2^k: T_2m = T_m / 2 + h_2m * sum over the new
+    nodes.  Without h0 each level is a whole estimate.  Two successive sums
+    agree when they differ by at most 1e-13 relative or by the rounding
     floor 8 eps * sum|summand| that the finer sum already carries.  A
     non-finite sum stops at once; without agreement the last estimate is the
     answer, with converged False.
     """
     prev = None
-    for total, mass in estimates:
+    for k, (total, mass) in enumerate(levels):
+        if h0 is not None:
+            h = h0 / 2**k
+            total, mass = ((total * h, mass * h) if prev is None
+                           else (0.5 * prev + h * total, 0.5 * prev_mass + h * mass))
         if not cmath.isfinite(total):
             return total, mass, False
         if prev is not None and abs(total - prev) <= max(1e-13 * abs(total), 8.0 * _EPS * mass):
             return total, mass, True
-        prev = total
+        prev, prev_mass = total, mass
     return total, mass, False
 
 
@@ -402,8 +394,7 @@ def tricomi_u(a, b, x) -> complex:
             pass  # fall through to the integral
 
     def ray(r):
-        levels = ((_RAY_H0 / 2**k, *_u_ray_sum(a, b, x, r, k)) for k in range(_HALVINGS + 1))
-        return _converged(_nested(levels))
+        return _refine((_u_ray_sum(a, b, x, r, k) for k in range(_HALVINGS + 1)), _RAY_H0)
 
     if a.real > 0.5:
         total, mass, converged = ray(0.0)
@@ -411,7 +402,7 @@ def tricomi_u(a, b, x) -> complex:
     else:
         r = min(0.5, abs(a - 1.0) / x)
         line, line_mass, line_ok = ray(r)
-        circle, circle_mass, circle_ok = _converged(
+        circle, circle_mass, circle_ok = _refine(
             _u_circle_sum(a, b, x, r, 2**k) for k in range(_HALVINGS + 1))
         weight = cmath.exp(2j * math.pi * a) - 1.0
         total, mass = weight * line + circle, abs(weight) * line_mass + circle_mass

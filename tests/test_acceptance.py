@@ -35,9 +35,10 @@ from laplaceqm.special_fn import hermite_coefficients, kummer_m
 from laplaceqm.validation import (
     bessel_j_series,
     cross_method_report,
-    ode_residual_sweep,
     spherical_j_series,
 )
+
+from ode_residual import ode_residual_sweep
 
 
 class _Gate:

@@ -11,6 +11,7 @@ import cmath
 import dataclasses
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -368,6 +369,11 @@ class TestCircle:
         conv = default_phase_convention(ode)
         with pytest.warns(PrecisionLoss):
             continuum_phi_circle(ode, exps, conv, 700.0, ContourConfig(radius_R=1.1))
+        # at E = 3e-3 the 100000-node level still moves at xi = 0.5, where
+        # the value is 1.25e-6 off mpmath's hyp1f1: non-convergence warns too
+        _, ode, exps = continuum_setup(Kind.COULOMB3D_CONT, 3e-3)
+        with pytest.warns(PrecisionLoss, match="R\\*xi = 0.55 did not converge"):
+            continuum_phi_circle(ode, exps, default_phase_convention(ode), 0.5)
 
     def test_config_validation(self):
         # the radius is the one setting; the finest circle level is a constant
@@ -572,16 +578,15 @@ class TestPhiValuesDispatch:
 
     @pytest.mark.filterwarnings("ignore::laplaceqm.contour_eval.PrecisionLoss")
     def test_first_failing_point_stops_the_grid(self, monkeypatch):
-        import laplaceqm.contour_eval as ce
-
+        # the series evaluates one Kummer M per point, at z = 2 i xi
         seen = []
 
-        def counted(ode, exps, xi, **kw):
-            seen.append(xi)
-            return series(ode, exps, xi, **kw)
+        def counted(a, b, z):
+            seen.append(z.imag / 2.0)
+            return kummer_m(a, b, z)
 
-        series = ce.continuum_phi_series
-        monkeypatch.setattr(ce, "continuum_phi_series", counted)
+        kummer_m = ce.kummer_m
+        monkeypatch.setattr(ce, "kummer_m", counted)
         spec = ProblemSpec(kind=Kind.COULOMB3D_CONT)
         with pytest.raises(SeriesDivergence) as info:
             phi_values(spec, 1.0, [1.0, 2000.0, 2.0], Method.SERIES)
@@ -622,6 +627,64 @@ class TestPhiValuesDispatch:
                 phi_values(spec, energy, [0.3], Method.RESIDUE)
         got = phi_values(spec, 2.5 + 1e-10, [0.3], Method.RESIDUE)
         assert got[0] == pytest.approx(4 * 0.3**2 - 2)
+
+
+class TestGridContract:
+    """Every route takes the whole xi grid and evaluates its points in order."""
+
+    def routes(self):
+        """(route as a function of xi, grid) for every route and rule."""
+        out = []
+        for kind, energy, grid in ((Kind.COULOMB3D_CONT, 1.0, [0.3, 0.99, 1.0, 4.0]),
+                                   (Kind.FREE3D, 2.0, [0.5, 3.0])):
+            _, ode, exps = continuum_setup(kind, energy)
+            conv = default_phase_convention(ode)
+            out += [(partial(continuum_phi_real_integral, ode, exps), grid),
+                    (partial(continuum_phi_circle, ode, exps, conv,
+                             config=ContourConfig(1.3)), grid),
+                    (partial(continuum_phi_series, ode, exps), grid)]
+        _, ode, exps = continuum_setup(Kind.MORSE_CONT, 1.0, morse_v0=1.2)
+        return out + [(partial(morse_continuum_phi, ode, exps), [0.5, 9.0, 20.0])]
+
+    def test_grid_equals_point_by_point(self):
+        for route, grid in self.routes():
+            on_grid = route(np.array(grid))
+            assert on_grid.dtype == complex and on_grid.shape == (len(grid),), route
+            assert on_grid.tolist() == [route(x) for x in grid], route
+
+    def test_scalar_xi_gives_a_complex(self):
+        for route, grid in self.routes():
+            for x in (grid[0], np.float64(grid[0]), np.array(grid[0])):
+                assert type(route(x)) is complex, route
+
+    @pytest.mark.filterwarnings("ignore::laplaceqm.contour_eval.PrecisionLoss")
+    def test_no_point_after_the_first_non_finite_one(self, monkeypatch):
+        # R*xi = 1.1 * 1000 overflows the circle sum to NaN; xi = 2 is never summed
+        seen = []
+
+        def counted(ode, exps, radius_R, xi):
+            seen.append(xi)
+            return level_sums(ode, exps, radius_R, xi)
+
+        level_sums = ce._circle_level_sums
+        monkeypatch.setattr(ce, "_circle_level_sums", counted)
+        _, ode, exps = continuum_setup(Kind.COULOMB3D_CONT, 1.0)
+        got = continuum_phi_circle(ode, exps, default_phase_convention(ode), [1.0, 1000.0, 2.0])
+        assert seen == [1.0, 1000.0]
+        assert np.isfinite(got[0]) and not np.isfinite(got[1]) and np.isnan(got[2])
+
+    def test_edge_prefactor_once_per_grid(self, monkeypatch):
+        calls = []
+
+        def counted(ode, exps):
+            calls.append(ode)
+            return edge(ode, exps)
+
+        edge = ce._edge_prefactor
+        monkeypatch.setattr(ce, "_edge_prefactor", counted)
+        spec = ProblemSpec(kind=Kind.COULOMB3D_CONT)
+        phi_values(spec, 1.0, [0.5, 1.0, 2.0, 5.0], Method.REAL_INTEGRAL)
+        assert len(calls) == 1
 
 
 class TestSampleWavefunction:

@@ -171,7 +171,7 @@ class TestPhaseConvention:
     def test_continuum_reference_value(self):
         delta = 1.2
         conv = default_phase_convention(continuum_ode(3.0, delta))
-        assert conv.reference_point_phase == pytest.approx(
+        assert conv == pytest.approx(
             math.exp(-0.5 * math.pi * delta), rel=1e-12
         )
 
@@ -187,7 +187,7 @@ class TestPhaseConvention:
 def integrand(ode, exps, conv, xi, z, phases):
     """The single-valued integrand at z: e^{xi z + t_plus + t_minus} times the reference phase."""
     t_plus, t_minus = log_terms(ode, exps, z, phases)
-    return complex(np.exp(xi * z + t_plus + t_minus) * conv.reference_point_phase)
+    return complex(np.exp(xi * z + t_plus + t_minus) * conv)
 
 
 class TestIntegrand:
@@ -208,7 +208,7 @@ class TestIntegrand:
         want = (
             cmath.exp((self.exps.alpha_plus - 1) * math.log(m2)
                       + (self.exps.alpha_minus - 1) * math.log(m1))
-            * self.conv.reference_point_phase
+            * self.conv
         )
         assert got == pytest.approx(want, rel=1e-12)
 

@@ -26,10 +26,11 @@ from laplaceqm.potential_catalog import (
     coordinate_map,
     morse_delta,
     n_start,
-    quantization_check,
     residue_lattice_energy,
 )
 from laplaceqm.special_fn import hermite
+
+from quantization import quantization_check
 
 
 class TestKindSets:

@@ -18,10 +18,11 @@ from laplaceqm.validation import (
     _onset,
     bessel_j_series,
     cross_method_report,
-    ode_residual_sweep,
     spectrum_table,
     spherical_j_series,
 )
+
+from ode_residual import ode_residual_sweep
 
 
 class TestBesselOracles:
