@@ -20,7 +20,6 @@ import numpy as np
 from .contour_eval import ROUTES, ContourConfig, Method, MethodRegimeMismatch, sample_wavefunction
 from .potential_catalog import (
     BOUND_KINDS,
-    RADIAL_KINDS,
     DomainError,
     InvalidQuantumNumbers,
     Kind,
@@ -186,8 +185,11 @@ def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {out}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +210,6 @@ def cmd_wavefunction(cfg: RunConfig) -> str:
     spec = cfg.problem()
     method = cfg.method or ROUTES[cfg.kind][0]
     lo, hi, count = cfg.grid
-    if cfg.kind in RADIAL_KINDS and lo < 0.0:
-        raise ConfigError("radial kinds need a nonnegative coordinate grid")
     if cfg.kind in BOUND_KINDS:
         state: Union[int, float] = int(cfg.params.get("n", n_start(spec)))
     else:
@@ -427,14 +427,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _build_config(ns)
-        text = _COMMANDS[cfg.command](cfg)
+        _emit(_COMMANDS[cfg.command](cfg), cfg.out)
     except (ConfigError, *_INPUT_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EvaluationFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    _emit(text, cfg.out)
     return 0
 
 

@@ -1,9 +1,11 @@
 """Catalog of solvable potentials and their reduction to canonical form.
 
 Thirteen problem kinds: eight bound (seven Laguerre-type plus the direct
-Hermite route for the 1D oscillator) and five continuum. Internally hbar and
-the mass enter only through ProblemSpec.mu; hbar itself is fixed at 1, so
-energies come out in the natural units of the chosen parameters.
+Hermite route for the 1D oscillator) and five continuum, each a row of
+_KINDS (family, dimension, angular number); each family a row of _FAMILIES
+(the fields it reads, the energies it admits). Internally hbar and the mass
+enter only through ProblemSpec.mu; hbar itself is fixed at 1, so energies
+come out in the natural units of the chosen parameters.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -50,33 +52,65 @@ class Kind(enum.Enum):
     MORSE_CONT = "morse_cont"
 
 
-LAGUERRE_BOUND_KINDS = frozenset(
-    {
-        Kind.SHO1D_EVEN,
-        Kind.SHO1D_ODD,
-        Kind.SHO2D,
-        Kind.SHO3D,
-        Kind.COULOMB2D,
-        Kind.COULOMB3D,
-        Kind.MORSE,
-    }
+class _Family(NamedTuple):
+    fields: frozenset  # the ProblemSpec fields read, besides the angular number
+    energies: str  # the energies admitted: "E >= 0", "E < 0" or "E > 0"
+
+
+_FAMILIES = {
+    "oscillator": _Family(frozenset({"mu", "omega"}), "E >= 0"),
+    "hermite": _Family(frozenset({"mu", "omega"}), "E >= 0"),
+    "coulomb": _Family(frozenset({"mu", "a0"}), "E < 0"),
+    "morse": _Family(frozenset({"mu", "morse_a", "morse_v0"}), "E < 0"),
+    "free": _Family(frozenset({"mu"}), "E > 0"),
+    "coulomb_cont": _Family(frozenset({"mu", "a0"}), "E > 0"),
+    "morse_cont": _Family(frozenset({"mu", "morse_a", "morse_v0"}), "E > 0"),
+}
+
+_ADMITS = {
+    "E >= 0": lambda e: 0.0 <= e < math.inf,
+    "E < 0": lambda e: -math.inf < e < 0.0,
+    "E > 0": lambda e: 0.0 < e < math.inf,
+}
+
+
+class _Row(NamedTuple):
+    family: str
+    d: int  # the dimension; 2 and 3 are radial
+    ell: Union[int, str, None]  # the 1D parity, or the field holding m or l
+
+
+_KINDS = {
+    Kind.SHO1D_EVEN: _Row("oscillator", 1, 0),
+    Kind.SHO1D_ODD: _Row("oscillator", 1, 1),
+    Kind.SHO2D: _Row("oscillator", 2, "m_quantum"),
+    Kind.SHO3D: _Row("oscillator", 3, "l_quantum"),
+    Kind.COULOMB2D: _Row("coulomb", 2, "m_quantum"),
+    Kind.COULOMB3D: _Row("coulomb", 3, "l_quantum"),
+    Kind.MORSE: _Row("morse", 1, None),
+    Kind.SHO1D_HERMITE: _Row("hermite", 1, None),
+    Kind.FREE2D: _Row("free", 2, "m_quantum"),
+    Kind.FREE3D: _Row("free", 3, "l_quantum"),
+    Kind.COULOMB2D_CONT: _Row("coulomb_cont", 2, "m_quantum"),
+    Kind.COULOMB3D_CONT: _Row("coulomb_cont", 3, "l_quantum"),
+    Kind.MORSE_CONT: _Row("morse_cont", 1, None),
+}
+
+# bound: a family that admits a nonpositive energy; the radial continua are
+# the kinds the three continuum routes check against one another
+BOUND_KINDS = frozenset(
+    k for k, row in _KINDS.items() if _FAMILIES[row.family].energies != "E > 0"
 )
-BOUND_KINDS = LAGUERRE_BOUND_KINDS | {Kind.SHO1D_HERMITE}
-CONTINUUM_KINDS = frozenset(
-    {Kind.FREE2D, Kind.FREE3D, Kind.COULOMB2D_CONT, Kind.COULOMB3D_CONT}
-)
-RADIAL_KINDS = frozenset(
-    {
-        Kind.SHO2D,
-        Kind.SHO3D,
-        Kind.COULOMB2D,
-        Kind.COULOMB3D,
-        Kind.FREE2D,
-        Kind.FREE3D,
-        Kind.COULOMB2D_CONT,
-        Kind.COULOMB3D_CONT,
-    }
-)
+LAGUERRE_BOUND_KINDS = BOUND_KINDS - {Kind.SHO1D_HERMITE}
+RADIAL_KINDS = frozenset(k for k, row in _KINDS.items() if row.d > 1)
+CONTINUUM_KINDS = RADIAL_KINDS - BOUND_KINDS
+
+# The ProblemSpec fields each kind reads: canonicalize, coordinate_map and
+# bound_energy are unchanged by every other field.
+SPEC_FIELDS = {
+    k: _FAMILIES[row.family].fields | ({row.ell} if isinstance(row.ell, str) else set())
+    for k, row in _KINDS.items()
+}
 
 
 @dataclass(frozen=True)
@@ -104,29 +138,6 @@ class ProblemSpec:
             raise InvalidQuantumNumbers("l must be >= 0")
 
 
-_OSCILLATOR = frozenset({"omega", "mu"})
-_COULOMB = frozenset({"mu", "a0"})
-_MORSE = frozenset({"mu", "morse_a", "morse_v0"})
-
-# The ProblemSpec fields each kind reads: canonicalize, coordinate_map and
-# bound_energy are unchanged by every other field.
-SPEC_FIELDS = {
-    Kind.SHO1D_EVEN: _OSCILLATOR,
-    Kind.SHO1D_ODD: _OSCILLATOR,
-    Kind.SHO1D_HERMITE: _OSCILLATOR,
-    Kind.SHO2D: _OSCILLATOR | {"m_quantum"},
-    Kind.SHO3D: _OSCILLATOR | {"l_quantum"},
-    Kind.COULOMB2D: _COULOMB | {"m_quantum"},
-    Kind.COULOMB2D_CONT: _COULOMB | {"m_quantum"},
-    Kind.COULOMB3D: _COULOMB | {"l_quantum"},
-    Kind.COULOMB3D_CONT: _COULOMB | {"l_quantum"},
-    Kind.FREE2D: frozenset({"mu", "m_quantum"}),
-    Kind.FREE3D: frozenset({"mu", "l_quantum"}),
-    Kind.MORSE: _MORSE,
-    Kind.MORSE_CONT: _MORSE,
-}
-
-
 @dataclass(frozen=True)
 class QuantumNumbers:
     """Printed label n and residue order N; the kind fixes their relation."""
@@ -135,29 +146,34 @@ class QuantumNumbers:
     N: int
 
 
+def _ell(spec: ProblemSpec) -> Optional[int]:
+    """The angular number: the 1D parity, |m| or l; None for Morse and Hermite."""
+    ell = _KINDS[spec.kind].ell
+    return abs(getattr(spec, ell)) if isinstance(ell, str) else ell
+
+
 def n_start(spec: ProblemSpec) -> int:
     """Smallest admissible printed label n."""
-    if spec.kind is Kind.COULOMB2D:
-        return abs(spec.m_quantum) + 1
-    if spec.kind is Kind.COULOMB3D:
-        return spec.l_quantum + 1
-    return 0
+    return _ell(spec) + 1 if _KINDS[spec.kind].family == "coulomb" else 0
 
 
 def _beta(spec: ProblemSpec) -> float:
-    if spec.kind in (Kind.SHO1D_EVEN,):
-        return 0.5
-    if spec.kind is Kind.SHO1D_ODD:
-        return 1.5
-    if spec.kind in (Kind.SHO2D,):
-        return abs(spec.m_quantum) + 1.0
-    if spec.kind is Kind.SHO3D:
-        return spec.l_quantum + 1.5
-    if spec.kind in (Kind.COULOMB2D, Kind.COULOMB2D_CONT, Kind.FREE2D):
-        return 2.0 * abs(spec.m_quantum) + 1.0
-    if spec.kind in (Kind.COULOMB3D, Kind.COULOMB3D_CONT, Kind.FREE3D):
-        return 2.0 * (spec.l_quantum + 1.0)
-    raise ValueError(f"no static beta for {spec.kind}")
+    """d/2 + l for the oscillators, 2l + d - 1 for the Coulomb and free kinds."""
+    family, d, _ = _KINDS[spec.kind]
+    if family == "oscillator":
+        return d / 2 + _ell(spec)
+    return 2.0 * _ell(spec) + (d - 1)
+
+
+def _check_energy(spec: ProblemSpec, energy: float) -> None:
+    admitted = _FAMILIES[_KINDS[spec.kind].family].energies
+    if not _ADMITS[admitted](energy):
+        raise RegimeMismatch(f"{spec.kind.value} needs finite {admitted}, got E = {energy}")
+
+
+def _wavenumber(spec: ProblemSpec, energy: float) -> float:
+    """sqrt(2 mu |E|): kappa of a bound level, k of a continuum state."""
+    return math.sqrt(2.0 * spec.mu * abs(energy))
 
 
 def morse_delta(spec: ProblemSpec) -> float:
@@ -168,68 +184,40 @@ def morse_delta(spec: ProblemSpec) -> float:
 def canonicalize(spec: ProblemSpec, energy: float) -> CanonicalODE:
     """The (beta, delta, lambda) triple for this kind at this energy.
 
-    Energy sign is policed: bound Coulomb/Morse need E < 0, the oscillator
-    rows accept E >= 0, continuum kinds need E > 0, and E must be finite.
+    The energy must be finite and of the family's sign: bound Coulomb/Morse
+    need E < 0, the oscillator rows accept E >= 0, continuum kinds need E > 0.
     The Hermite-route kind has no triple (its kernel is quadratic-exponential,
     not of this family) and is rejected here.
     """
-    kind = spec.kind
-    if not math.isfinite(energy):
-        raise RegimeMismatch(f"energy must be finite, got {energy!r}")
-    if kind is Kind.SHO1D_HERMITE:
+    _check_energy(spec, energy)
+    family = _KINDS[spec.kind].family
+    if family == "hermite":
         raise RegimeMismatch(
             "sho1d_hermite solves the derivative-form equation; no (beta, delta, lambda) triple exists"
         )
-    if kind in (Kind.SHO1D_EVEN, Kind.SHO1D_ODD, Kind.SHO2D, Kind.SHO3D):
-        if energy < 0:
-            raise RegimeMismatch("oscillator bound kinds require E >= 0")
+    if family == "oscillator":
         return CanonicalODE(
             beta=complex(_beta(spec)),
             delta=energy / (2.0 * spec.omega),
             lam=0.5 + 0j,
             regime=Regime.BOUND,
         )
-    if kind in (Kind.COULOMB2D, Kind.COULOMB3D):
-        if energy >= 0:
-            raise RegimeMismatch("bound Coulomb kinds require E < 0")
-        kappa = math.sqrt(-2.0 * spec.mu * energy)
+    k = _wavenumber(spec, energy)
+    if family in ("morse", "morse_cont"):
+        s = k / spec.morse_a  # kbar on the continuum
         return CanonicalODE(
-            beta=complex(_beta(spec)),
-            delta=2.0 / (spec.a0 * kappa),
-            lam=1.0 + 0j,
-            regime=Regime.BOUND,
-        )
-    if kind is Kind.MORSE:
-        if energy >= 0:
-            raise RegimeMismatch("bound Morse requires E < 0")
-        s = math.sqrt(-2.0 * spec.mu * energy) / spec.morse_a
-        return CanonicalODE(
-            beta=complex(2.0 * s + 1.0),
+            beta=complex(2.0 * s + 1.0) if family == "morse" else 1.0 + 2j * s,
             delta=morse_delta(spec),
             lam=0.5 + 0j,
-            regime=Regime.BOUND,
+            regime=Regime.BOUND if family == "morse" else Regime.MORSE_CONTINUUM,
         )
-    if kind in CONTINUUM_KINDS:
-        if energy <= 0:
-            raise RegimeMismatch("continuum kinds require E > 0")
-        if kind in (Kind.FREE2D, Kind.FREE3D):
-            delta = 0.0
-        else:
-            delta = 2.0 / (spec.a0 * math.sqrt(2.0 * spec.mu * energy))
-        return CanonicalODE(
-            beta=complex(_beta(spec)), delta=delta, lam=1j, regime=Regime.CONTINUUM
-        )
-    if kind is Kind.MORSE_CONT:
-        if energy <= 0:
-            raise RegimeMismatch("morse continuum requires E > 0")
-        kbar = math.sqrt(2.0 * spec.mu * energy) / spec.morse_a
-        return CanonicalODE(
-            beta=1.0 + 2j * kbar,
-            delta=morse_delta(spec),
-            lam=0.5 + 0j,
-            regime=Regime.MORSE_CONTINUUM,
-        )
-    raise ValueError(f"unhandled kind {kind}")
+    bound = family == "coulomb"
+    return CanonicalODE(
+        beta=complex(_beta(spec)),
+        delta=0.0 if family == "free" else 2.0 / (spec.a0 * k),
+        lam=1.0 + 0j if bound else 1j,
+        regime=Regime.BOUND if bound else Regime.CONTINUUM,
+    )
 
 
 class CoordinateMap:
@@ -241,33 +229,29 @@ class CoordinateMap:
     """
 
     def __init__(self, spec: ProblemSpec, energy: float):
+        _check_energy(spec, energy)
         self.spec = spec
         self.energy = energy
-        kind = spec.kind
-        if kind in (Kind.SHO1D_EVEN, Kind.SHO1D_ODD, Kind.SHO2D, Kind.SHO3D):
+        self._family = family = _KINDS[spec.kind].family
+        if family == "oscillator":
             self._scale = spec.mu * spec.omega
-        elif kind in (Kind.COULOMB2D, Kind.COULOMB3D):
-            self._scale = math.sqrt(-2.0 * spec.mu * energy)
-        elif kind in CONTINUUM_KINDS:
-            self._scale = math.sqrt(2.0 * spec.mu * energy)
-        elif kind in (Kind.MORSE, Kind.MORSE_CONT):
-            self._scale = 2.0 * morse_delta(spec)
-        elif kind is Kind.SHO1D_HERMITE:
+        elif family == "hermite":
             self._scale = math.sqrt(spec.mu * spec.omega)
+        elif family in ("morse", "morse_cont"):
+            self._scale = 2.0 * morse_delta(spec)
         else:
-            raise ValueError(f"unhandled kind {kind}")
+            self._scale = _wavenumber(spec, energy)
 
     def _check_domain(self, coords: np.ndarray):
         if self.spec.kind in RADIAL_KINDS and np.any(coords < 0):
-            raise DomainError("radial coordinate must be >= 0")
+            raise DomainError("radial coordinate must be nonnegative")
 
     def xi(self, coords) -> np.ndarray:
         coords = np.asarray(coords, dtype=float)
         self._check_domain(coords)
-        kind = self.spec.kind
-        if kind in (Kind.SHO1D_EVEN, Kind.SHO1D_ODD, Kind.SHO2D, Kind.SHO3D):
+        if self._family == "oscillator":
             return self._scale * coords * coords
-        if kind in (Kind.MORSE, Kind.MORSE_CONT):
+        if self._family in ("morse", "morse_cont"):
             return self._scale * np.exp(-self.spec.morse_a * coords)
         return self._scale * coords  # Coulomb/free radial and the Hermite line
 
@@ -275,25 +259,15 @@ class CoordinateMap:
         coords = np.asarray(coords, dtype=float)
         self._check_domain(coords)
         spec = self.spec
-        kind = spec.kind
-        if kind is Kind.SHO1D_EVEN:
-            return np.ones_like(coords, dtype=complex)
-        if kind is Kind.SHO1D_ODD:
-            return coords.astype(complex)
-        if kind in (Kind.SHO2D, Kind.COULOMB2D, Kind.COULOMB2D_CONT, Kind.FREE2D):
-            return (coords ** abs(spec.m_quantum)).astype(complex)
-        if kind in (Kind.SHO3D, Kind.COULOMB3D, Kind.COULOMB3D_CONT, Kind.FREE3D):
-            return (coords ** spec.l_quantum).astype(complex)
-        if kind is Kind.SHO1D_HERMITE:
+        if self._family == "hermite":
             return np.exp(-0.5 * spec.mu * spec.omega * coords * coords).astype(complex)
-        xi = self.xi(coords)
-        if kind is Kind.MORSE:
-            s = math.sqrt(-2.0 * spec.mu * self.energy) / spec.morse_a
-            return (xi ** s).astype(complex)
-        if kind is Kind.MORSE_CONT:
-            kbar = math.sqrt(2.0 * spec.mu * self.energy) / spec.morse_a
-            return np.exp(1j * kbar * np.log(xi))
-        raise ValueError(f"unhandled kind {kind}")
+        if self._family == "morse":
+            s = _wavenumber(spec, self.energy) / spec.morse_a
+            return (self.xi(coords) ** s).astype(complex)
+        if self._family == "morse_cont":
+            kbar = _wavenumber(spec, self.energy) / spec.morse_a
+            return np.exp(1j * kbar * np.log(self.xi(coords)))
+        return (coords ** _ell(spec)).astype(complex)  # r^l, the 1D parity as l
 
 
 def coordinate_map(spec: ProblemSpec, energy: float) -> CoordinateMap:
@@ -314,21 +288,13 @@ def bound_energy(spec: ProblemSpec, qn: Union[int, QuantumNumbers]) -> float:
     if spec.kind not in BOUND_KINDS:
         raise NotBoundProblem(f"{spec.kind.value} is not a bound problem")
     n = _as_n(spec, qn)
-    kind, w = spec.kind, spec.omega
-    if kind is Kind.SHO1D_EVEN:
-        return w * (2 * n + 0.5)
-    if kind is Kind.SHO1D_ODD:
-        return w * (2 * n + 1.5)
-    if kind is Kind.SHO2D:
-        return w * (2 * n + abs(spec.m_quantum) + 1)
-    if kind is Kind.SHO3D:
-        return w * (2 * n + spec.l_quantum + 1.5)
-    if kind is Kind.SHO1D_HERMITE:
-        return w * (n + 0.5)
-    if kind is Kind.COULOMB2D:
-        return -1.0 / (2.0 * spec.mu * spec.a0**2 * (n - 0.5) ** 2)
-    if kind is Kind.COULOMB3D:
-        return -1.0 / (2.0 * spec.mu * spec.a0**2 * n**2)
+    family, d, _ = _KINDS[spec.kind]
+    if family == "oscillator":
+        return spec.omega * (2 * n + _beta(spec))
+    if family == "hermite":
+        return spec.omega * (n + 0.5)
+    if family == "coulomb":
+        return -1.0 / (2.0 * spec.mu * spec.a0**2 * (n + (d - 3) / 2) ** 2)
     # Morse: finitely many levels, n strictly below the depth parameter
     delta = morse_delta(spec)
     if n >= delta:
@@ -349,7 +315,7 @@ def residue_lattice_energy(spec: ProblemSpec, N: int) -> float:
         raise NotBoundProblem(f"{spec.kind.value} is not a bound problem")
     if N < 0:
         raise InvalidQuantumNumbers("N must be >= 0")
-    if spec.kind is not Kind.MORSE:
+    if _KINDS[spec.kind].family != "morse":
         return bound_energy(spec, n_start(spec) + N)
     s = morse_delta(spec) - N - 0.5
     if s <= 0:

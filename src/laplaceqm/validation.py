@@ -22,6 +22,7 @@ from .potential_catalog import (
     ProblemSpec,
     QuantumNumbers,
     bound_energy,
+    canonicalize,
     n_start,
 )
 from .special_fn import PrecisionLoss
@@ -100,13 +101,15 @@ def cross_method_report(
     """Evaluate the three continuum routes on one grid and compare them.
 
     Evaluation errors are recorded as NaN at the offending point rather than
-    aborting the report; they count as failures for onset detection.
+    aborting the report; they count as failures for onset detection.  An
+    energy the kind does not admit raises RegimeMismatch before any route runs.
     """
     if spec.kind not in CONTINUUM_KINDS:
         raise MethodRegimeMismatch(
             "cross-method comparison needs a non-Morse continuum kind, "
             f"got {spec.kind.value}"
         )
+    canonicalize(spec, energy)  # input errors propagate; route errors become NaN
     methods = ROUTES[spec.kind]
     xi = np.asarray(list(grid), dtype=float)
     values: Dict[Method, np.ndarray] = {}

@@ -118,6 +118,13 @@ class TestWavefunctionCommand:
         assert code == 2
         assert "E=" in err
 
+    @pytest.mark.parametrize("energy", ["-1", "0"])
+    def test_continuum_energy_sign_rejected(self, capsys, energy):
+        code, out, err = run(capsys, "wavefunction", "--kind", "coulomb3d_cont",
+                             "--param", f"E={energy}", "--grid=1,2,3")
+        assert (code, out) == (2, "")
+        assert err == f"error: coulomb3d_cont needs finite E > 0, got E = {float(energy)}\n"
+
     def test_negative_radial_grid_rejected(self, capsys):
         code, _, err = run(capsys, "wavefunction", "--kind", "free3d",
                            "--param", "E=1", "--grid=-1,5,4")
@@ -371,6 +378,14 @@ class TestValidateCommand:
         assert code == 2
         assert "below" in err
 
+    @pytest.mark.parametrize("energy", ["-1", "0"])
+    def test_continuum_energy_sign_rejected(self, capsys, energy):
+        # an input error exits 2; it is not a route failing at every point
+        code, out, err = run(capsys, "validate", "--kind", "free2d",
+                             "--param", f"E={energy}", "--grid=1,2,3")
+        assert (code, out) == (2, "")
+        assert err == f"error: free2d needs finite E > 0, got E = {float(energy)}\n"
+
     def test_morse_continuum_rejected(self, capsys):
         code, _, err = run(capsys, "validate", "--kind", "morse_cont",
                            "--param", "E=1", "--grid", "0.5,4,3")
@@ -622,6 +637,15 @@ class TestCsvContracts:
         assert main(argv + ["--out", str(path)]) == 0
         capsys.readouterr()
         assert path.read_text() == out
+
+    @pytest.mark.parametrize("where", ["missing/x.csv", "."])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, where):
+        # a path in a directory that does not exist, and a directory itself
+        path = tmp_path / where
+        code, out, err = run(capsys, "spectrum", "--kind", "coulomb3d", "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write --out {path}: ")
+        assert "Traceback" not in err
 
 
 @pytest.mark.skipif(shutil.which("laplaceqm") is None,

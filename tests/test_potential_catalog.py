@@ -144,6 +144,8 @@ class TestCanonicalize:
     def test_energy_sign_policing(self, kind, bad_e):
         with pytest.raises(RegimeMismatch):
             canonicalize(ProblemSpec(kind=kind), bad_e)
+        with pytest.raises(RegimeMismatch):
+            coordinate_map(ProblemSpec(kind=kind), bad_e)
 
     def test_hermite_kind_has_no_triple(self):
         with pytest.raises(RegimeMismatch):

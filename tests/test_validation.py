@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from laplaceqm.contour_eval import ContourConfig, Method, MethodRegimeMismatch
+import laplaceqm.validation as validation
 from laplaceqm.potential_catalog import (
     BOUND_KINDS,
     Kind,
     NotBoundProblem,
     ProblemSpec,
     QuantumNumbers,
+    RegimeMismatch,
 )
 from laplaceqm.validation import (
     ComparisonReport,
@@ -123,6 +125,20 @@ class TestCrossMethodReport:
             cross_method_report(ProblemSpec(kind=Kind.SHO2D), 1.0, [1.0])
         with pytest.raises(MethodRegimeMismatch):
             cross_method_report(ProblemSpec(kind=Kind.MORSE_CONT), 1.0, [1.0])
+
+    @pytest.mark.parametrize("kind,energy", [
+        (Kind.FREE2D, 0.0),
+        (Kind.FREE3D, -1.0),
+        (Kind.COULOMB2D_CONT, -0.5),
+        (Kind.COULOMB3D_CONT, math.nan),
+    ])
+    def test_inadmissible_energy_raises_before_any_route(self, kind, energy, monkeypatch):
+        # an input error, not a NaN at every grid point
+        calls = []
+        monkeypatch.setattr(validation, "phi_values", lambda *args, **kw: calls.append(args))
+        with pytest.raises(RegimeMismatch, match=f"{kind.value} needs finite E > 0"):
+            cross_method_report(ProblemSpec(kind=kind), energy, [1.0, 2.0])
+        assert calls == []
 
 
 # grids chosen inside each kind's physically interesting xi range
