@@ -21,7 +21,7 @@ def main():
                 ProblemSpec(kind=Kind.SHO1D_HERMITE), 5)
     show_ladder("3D hydrogen, l=1",
                 ProblemSpec(kind=Kind.COULOMB3D, l_quantum=1), 5)
-    show_ladder("Morse well, V0=3.125 (only three levels fit)",
+    show_ladder("Morse well, V0=3.125 (only two levels fit)",
                 ProblemSpec(kind=Kind.MORSE, morse_v0=3.125), 9)
 
     # radial 2s hydrogen: one node, visible as a sign change in psi

@@ -9,7 +9,7 @@ return, and the exceptions they raise; every other layer stays importable
 from its own module.
 """
 
-from .core_laplace import BranchPointEvaluation, DegenerateLambda
+from .core_laplace import BranchPointEvaluation
 from .potential_catalog import (
     DomainError,
     InvalidQuantumNumbers,
@@ -48,7 +48,6 @@ __all__ = [
     "spectrum_table",
     # exceptions and warnings
     "BranchPointEvaluation",
-    "DegenerateLambda",
     "DomainError",
     "InvalidQuantumNumbers",
     "MethodRegimeMismatch",

@@ -480,6 +480,16 @@ def _check_method(spec: catalog.ProblemSpec, method: Method):
         raise MethodRegimeMismatch(f"method {method.value} not valid for {spec.kind.value}")
 
 
+def _check_finite(values: np.ndarray, message) -> None:
+    """FloatingPointError(message(i)), with ``.point`` = i, at the first non-finite value i."""
+    finite = np.isfinite(values)
+    if np.count_nonzero(finite) < finite.size:
+        i = int(finite.argmin())
+        exc = FloatingPointError(message(i))
+        exc.point = i
+        raise exc
+
+
 def phi_values(
     spec: catalog.ProblemSpec,
     energy: float,
@@ -515,12 +525,7 @@ def phi_values(
             route = {Method.REAL_INTEGRAL: continuum_phi_real_integral,
                      Method.SERIES: continuum_phi_series}.get(method, morse_continuum_phi)
             values = route(ode, exps, xs)
-    finite = np.isfinite(values)
-    if np.count_nonzero(finite) < finite.size:
-        i = int(finite.argmin())
-        exc = FloatingPointError(f"{method.value} route gave {values[i]} at xi = {xs[i]:.6g}")
-        exc.point = i
-        raise exc
+    _check_finite(values, lambda i: f"{method.value} route gave {values[i]} at xi = {xs[i]:.6g}")
     return values
 
 
@@ -533,15 +538,14 @@ def sample_wavefunction(
 ) -> WavefunctionGrid:
     """psi = prefactor * Phi over a coordinate grid, entries coordinate-sorted.
 
-    Bound kinds take quantum numbers and evaluate at the residue-lattice
-    energy (the catalog energy for every kind but the Morse well, whose
-    closed-form levels sit half a step off the residue condition); continuum
-    kinds take E > 0 directly.
+    Bound kinds take quantum numbers and evaluate at the catalog energy,
+    where the residue order -alpha_minus is an integer; continuum kinds take
+    E > 0 directly.  A non-finite psi raises FloatingPointError with its
+    index in ``.point``, as a non-finite Phi does.
     """
     _check_method(spec, method)
     if spec.kind in catalog.BOUND_KINDS:
-        n = catalog._as_n(spec, qn_or_energy)
-        energy = catalog.residue_lattice_energy(spec, n - catalog.n_start(spec))
+        energy = catalog.bound_energy(spec, qn_or_energy)
     else:
         energy = float(qn_or_energy)
     coords = np.sort(np.asarray(coordinates, dtype=float))
@@ -549,4 +553,5 @@ def sample_wavefunction(
     xi = cmap.xi(coords)
     phi = phi_values(spec, energy, xi, method, config)
     psi = cmap.prefactor(coords) * phi
+    _check_finite(psi, lambda i: f"prefactor * Phi gave {psi[i]} at coordinate {coords[i]:.6g}")
     return WavefunctionGrid(coords, xi, phi, psi, method=method, problem=spec, energy=energy)

@@ -17,10 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class DegenerateLambda(ValueError):
-    """Coincident characteristic roots: lambda = 0 has no exponent pair."""
-
-
 class BranchPointEvaluation(ValueError):
     """Integrand requested exactly at z = +-lambda with a divergent exponent."""
 
@@ -70,8 +66,6 @@ class Exponents:
 
 def exponents(ode: CanonicalODE) -> Exponents:
     """alpha_+- = (beta*lambda +- delta) / (2 lambda); their sum is beta."""
-    if ode.lam == 0:
-        raise DegenerateLambda("lambda = 0: characteristic roots coincide")
     two_lam = 2.0 * ode.lam
     return Exponents(
         alpha_plus=(ode.beta * ode.lam + ode.delta) / two_lam,

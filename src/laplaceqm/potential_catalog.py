@@ -274,20 +274,15 @@ def coordinate_map(spec: ProblemSpec, energy: float) -> CoordinateMap:
     return CoordinateMap(spec, energy)
 
 
-def _as_n(spec: ProblemSpec, qn: Union[int, QuantumNumbers]) -> int:
+def bound_energy(spec: ProblemSpec, qn: Union[int, QuantumNumbers]) -> float:
+    """Closed-form level E_n of the catalog."""
+    if spec.kind not in BOUND_KINDS:
+        raise NotBoundProblem(f"{spec.kind.value} is not a bound problem")
     n = qn.n if isinstance(qn, QuantumNumbers) else int(qn)
     if n < n_start(spec):
         raise InvalidQuantumNumbers(
             f"n={n} below the smallest admissible label {n_start(spec)} for {spec.kind.value}"
         )
-    return n
-
-
-def bound_energy(spec: ProblemSpec, qn: Union[int, QuantumNumbers]) -> float:
-    """Closed-form level E_n of the catalog."""
-    if spec.kind not in BOUND_KINDS:
-        raise NotBoundProblem(f"{spec.kind.value} is not a bound problem")
-    n = _as_n(spec, qn)
     family, d, _ = _KINDS[spec.kind]
     if family == "oscillator":
         return spec.omega * (2 * n + _beta(spec))
@@ -295,31 +290,19 @@ def bound_energy(spec: ProblemSpec, qn: Union[int, QuantumNumbers]) -> float:
         return spec.omega * (n + 0.5)
     if family == "coulomb":
         return -1.0 / (2.0 * spec.mu * spec.a0**2 * (n + (d - 3) / 2) ** 2)
-    # Morse: finitely many levels, n strictly below the depth parameter
+    # Morse: the residue lattice -alpha_minus = n, which holds the finitely
+    # many levels with s = delta - n - 1/2 > 0
     delta = morse_delta(spec)
-    if n >= delta:
+    s = delta - n - 0.5
+    if s <= 0:
         raise InvalidQuantumNumbers(
             f"Morse well with delta={delta:.6g} holds no level n={n}"
         )
-    return -(spec.morse_a**2 / (2.0 * spec.mu)) * (n - delta) ** 2
+    return -(spec.morse_a**2 / (2.0 * spec.mu)) * s * s
 
 
 def residue_lattice_energy(spec: ProblemSpec, N: int) -> float:
-    """Energy at which the residue order -alpha_minus equals the integer N.
-
-    Identical to bound_energy(n_start + N) for every kind except the Morse
-    well, whose catalog energies sit half a step off this lattice; there the
-    residue route needs E = -(a^2/2mu)(delta - N - 1/2)^2.
-    """
-    if spec.kind not in BOUND_KINDS:
-        raise NotBoundProblem(f"{spec.kind.value} is not a bound problem")
+    """Energy at which the residue order -alpha_minus equals the integer N."""
     if N < 0:
         raise InvalidQuantumNumbers("N must be >= 0")
-    if _KINDS[spec.kind].family != "morse":
-        return bound_energy(spec, n_start(spec) + N)
-    s = morse_delta(spec) - N - 0.5
-    if s <= 0:
-        raise InvalidQuantumNumbers(
-            f"Morse residue lattice exhausted: delta - N - 1/2 = {s:.6g} <= 0"
-        )
-    return -(spec.morse_a**2 / (2.0 * spec.mu)) * s * s
+    return bound_energy(spec, n_start(spec) + N)

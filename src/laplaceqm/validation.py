@@ -190,15 +190,17 @@ def spectrum_table(
 # Independent Bessel oracles (ascending series, no shared code with the
 # routes under test)
 
+_SERIES_TERMS = 200  # a cap: each series stops once its term is below 1e-18 of the sum
 
-def bessel_j_series(m: int, x: float, terms: int = 200) -> float:
+
+def bessel_j_series(m: int, x: float) -> float:
     """J_m(x) by its ascending series; adequate for moderate x."""
     if m < 0:
         raise ValueError("order must be nonnegative")
     term = (0.5 * x) ** m / math.factorial(m)
     acc = term
     q = -0.25 * x * x
-    for j in range(1, terms):
+    for j in range(1, _SERIES_TERMS):
         term *= q / (j * (j + m))
         acc += term
         if abs(term) < 1e-18 * max(abs(acc), 1e-300):
@@ -206,7 +208,7 @@ def bessel_j_series(m: int, x: float, terms: int = 200) -> float:
     return acc
 
 
-def spherical_j_series(l: int, x: float, terms: int = 200) -> float:
+def spherical_j_series(l: int, x: float) -> float:
     """j_l(x) by its ascending series."""
     if l < 0:
         raise ValueError("order must be nonnegative")
@@ -215,7 +217,7 @@ def spherical_j_series(l: int, x: float, terms: int = 200) -> float:
         dfact *= k
     term = x**l / dfact
     acc = term
-    for j in range(1, terms):
+    for j in range(1, _SERIES_TERMS):
         term *= -0.5 * x * x / (j * (2 * l + 2 * j + 1))
         acc += term
         if abs(term) < 1e-18 * max(abs(acc), 1e-300):

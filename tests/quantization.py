@@ -15,7 +15,6 @@ from laplaceqm.potential_catalog import (
     ProblemSpec,
     QuantumNumbers,
     canonicalize,
-    morse_delta,
     n_start,
 )
 
@@ -25,11 +24,9 @@ _QUANT_TOL = 1e-9
 def quantization_check(spec: ProblemSpec, energy: float) -> Optional[QuantumNumbers]:
     """Quantum numbers of E when it sits on the kind's quantization lattice.
 
-    The generic condition is -alpha_minus equal to a nonnegative integer N.
-    The Morse catalog's closed-form levels correspond to -alpha_minus =
-    n - 1/2, so for that kind the half step is absorbed before rounding,
-    making the check the exact inverse of bound_energy. Returns None when
-    E is off the lattice.
+    The condition is -alpha_minus equal to a nonnegative integer N (for the
+    Hermite route, E/omega - 1/2 = N). Returns None when E is off the
+    lattice.
     """
     if spec.kind not in BOUND_KINDS:
         raise NotBoundProblem(f"{spec.kind.value} is not a bound problem")
@@ -41,12 +38,6 @@ def quantization_check(spec: ProblemSpec, energy: float) -> Optional[QuantumNumb
         return QuantumNumbers(n=n, N=n)
     exps = exponents(canonicalize(spec, energy))
     raw = -exps.alpha_minus.real
-    if spec.kind is Kind.MORSE:
-        raw += 0.5
-        n = round(raw)
-        if abs(raw - n) > _QUANT_TOL * max(1.0, abs(raw)) or n < 0 or n >= morse_delta(spec):
-            return None
-        return QuantumNumbers(n=n, N=n)
     N = round(raw)
     if abs(raw - N) > _QUANT_TOL * max(1.0, abs(raw)) or N < 0:
         return None

@@ -119,9 +119,9 @@ def test_bound_spectra_match_closed_forms():
                       w * (2 * n + 1.5))
                 close(ProblemSpec(Kind.SHO1D_HERMITE, mu=mu, omega=w), n,
                       w * (n + 0.5))
-                assert n < delta
+                assert n + 0.5 < delta
                 close(ProblemSpec(Kind.MORSE, mu=mu, morse_a=aa, morse_v0=v0),
-                      n, -(aa**2 / (2.0 * mu)) * (n - delta) ** 2)
+                      n, -(aa**2 / (2.0 * mu)) * (delta - n - 0.5) ** 2)
                 checked += 4
                 for m in range(-3, 4):
                     close(ProblemSpec(Kind.SHO2D, mu=mu, omega=w, m_quantum=m),

@@ -56,7 +56,7 @@ class TestSpectrumCommand:
                            "--param", "V0=3.125", "--param", "n_max=10")
         assert code == 0
         _, rows, _ = read_csv(out)
-        assert [r[0] for r in rows] == [0, 1, 2]
+        assert [r[0] for r in rows] == [0, 1]
 
 
 class TestWavefunctionCommand:
@@ -154,6 +154,7 @@ class TestWavefunctionCommand:
         assert err == "error: method circle not valid for coulomb3d\n"
 
     @pytest.mark.filterwarnings("ignore::laplaceqm.contour_eval.PrecisionLoss")
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_value_is_a_failed_point(self, capsys):
         # R*xi = 1.1 * 707 overflows the circle sum: no NaN rows with exit 0
         code, out, err = run(capsys, "wavefunction", "--kind", "coulomb3d_cont",
@@ -163,6 +164,12 @@ class TestWavefunctionCommand:
         assert out == ""
         assert "failed at point 1 (coordinate=500)" in err
         assert "circle route" in err
+        # Phi is finite but r^400 overflows the prefactor: psi is checked too
+        code, out, err = run(capsys, "wavefunction", "--kind", "sho3d",
+                             "--param", "l=400", "--grid=0,20,3")
+        assert code == 3
+        assert out == ""
+        assert "failed at point 1 (coordinate=10)" in err
 
     def test_bad_circle_radius(self, capsys):
         code, _, err = run(capsys, "wavefunction", "--kind", "coulomb3d_cont",

@@ -3,7 +3,6 @@
 import cmath
 import math
 from dataclasses import FrozenInstanceError
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from laplaceqm.core_laplace import (
     BranchPointEvaluation,
     CanonicalODE,
-    DegenerateLambda,
     Exponents,
     Regime,
     default_phase_convention,
@@ -41,18 +39,22 @@ class TestCanonicalODE:
         with pytest.raises(ValueError):
             CanonicalODE(beta=1 + 1j, delta=0.5, lam=0.5 + 0j, regime=Regime.BOUND)
 
+    # lambda = 0 (coincident characteristic roots, no exponent pair) is
+    # rejected in every regime
     def test_bound_rejects_odd_lambda(self):
-        with pytest.raises(ValueError):
-            CanonicalODE(beta=0.5 + 0j, delta=0.5, lam=0.3 + 0j, regime=Regime.BOUND)
+        for lam in (0.3 + 0j, 0j):
+            with pytest.raises(ValueError):
+                CanonicalODE(beta=0.5 + 0j, delta=0.5, lam=lam, regime=Regime.BOUND)
 
     def test_continuum_rejects_real_lambda(self):
-        with pytest.raises(ValueError):
-            CanonicalODE(beta=2.0 + 0j, delta=0.0, lam=1.0 + 0j,
-                         regime=Regime.CONTINUUM)
+        for lam in (1.0 + 0j, 0j):
+            with pytest.raises(ValueError):
+                CanonicalODE(beta=2.0 + 0j, delta=0.0, lam=lam, regime=Regime.CONTINUUM)
 
     def test_morse_rejects_imaginary_lambda(self):
-        with pytest.raises(ValueError):
-            CanonicalODE(beta=1 + 2j, delta=1.0, lam=1j, regime=Regime.MORSE_CONTINUUM)
+        for lam in (1j, 0j):
+            with pytest.raises(ValueError):
+                CanonicalODE(beta=1 + 2j, delta=1.0, lam=lam, regime=Regime.MORSE_CONTINUUM)
 
     def test_morse_rejects_beta_off_the_critical_line(self):
         with pytest.raises(ValueError):
@@ -124,11 +126,6 @@ class TestExponents:
         exps = exponents(continuum_ode(2.0, 2.0))
         assert exps.alpha_plus == pytest.approx(1 - 1j)
         assert exps.alpha_minus == pytest.approx(1 + 1j)
-
-    def test_degenerate_lambda(self):
-        fake = SimpleNamespace(beta=1.0 + 0j, delta=0.5, lam=0j)
-        with pytest.raises(DegenerateLambda):
-            exponents(fake)
 
     @given(beta=st.floats(0.1, 9.0), delta=st.floats(-4.0, 4.0),
            lam=st.sampled_from([0.5, 1.0]))

@@ -20,7 +20,6 @@ ENTRY_POINTS = [
 # exceptions raised and warnings issued
 EXCEPTIONS = [
     "BranchPointEvaluation",
-    "DegenerateLambda",
     "DomainError",
     "InvalidQuantumNumbers",
     "MethodRegimeMismatch",

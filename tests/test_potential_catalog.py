@@ -192,10 +192,10 @@ class TestBoundEnergy:
         assert bound_energy(ProblemSpec(kind=Kind.SHO1D_EVEN, omega=w), 0) == pytest.approx(w / 2)
         assert bound_energy(ProblemSpec(kind=Kind.COULOMB3D), 1) == pytest.approx(-0.5)
         assert bound_energy(ProblemSpec(kind=Kind.COULOMB2D), 1) == pytest.approx(-2.0)
-        # well depth parameter exactly 1: single level at -a^2/(2 mu)
+        # well depth parameter exactly 1: single level at -a^2/(8 mu)
         morse = ProblemSpec(kind=Kind.MORSE, morse_v0=0.5)
         assert morse_delta(morse) == pytest.approx(1.0)
-        assert bound_energy(morse, 0) == pytest.approx(-0.5)
+        assert bound_energy(morse, 0) == pytest.approx(-0.125)
 
     def test_not_bound(self):
         for kind in sorted(CONTINUUM_KINDS | {Kind.MORSE_CONT}, key=lambda k: k.value):
@@ -217,7 +217,7 @@ class TestBoundEnergy:
     def test_morse_level_count_matches_enumeration(self, v0):
         spec = ProblemSpec(kind=Kind.MORSE, morse_v0=v0)
         delta = morse_delta(spec)
-        want = sum(1 for n in range(200) if n < delta)
+        want = sum(1 for n in range(200) if n + 0.5 < delta)
         got = 0
         for n in range(200):
             try:
@@ -238,13 +238,70 @@ class TestBoundEnergy:
         assert sorted(even + odd) == ladder  # exact: all values are k + 1/2
 
 
+def _finite_difference_levels(spec, potential, lo, hi, points=1200):
+    """Ascending eigenvalues of -u''/(2 mu) + V u on (lo, hi) with u = 0 at both
+    ends, on a uniform three-point grid; a dense matrix, numpy only."""
+    x = np.linspace(lo, hi, points + 2)[1:-1]
+    t = 1.0 / (2.0 * spec.mu * (x[1] - x[0]) ** 2)
+    h = np.diag(2.0 * t + potential(x)) - t * (np.eye(points, k=1) + np.eye(points, k=-1))
+    return np.linalg.eigvalsh(h)
+
+
+def _effective_potential(spec, d, v):
+    """V in 1D; in d = 2, 3 the potential of u = r^{(d-1)/2} R, which adds the
+    centrifugal (L^2 - 1/4)/(2 mu r^2) with L = |m| in 2D and l + 1/2 in 3D."""
+    if d == 1:
+        return v
+    big_l = abs(spec.m_quantum) if d == 2 else spec.l_quantum + 0.5
+    return lambda r: (big_l**2 - 0.25) / (2.0 * spec.mu * r * r) + v(r)
+
+
+def _harmonic(spec):
+    return lambda x: 0.5 * spec.mu * spec.omega**2 * x * x
+
+
+def _coulomb(spec):
+    return lambda r: -1.0 / (spec.mu * spec.a0 * r)
+
+
+def _morse(spec):
+    a = spec.morse_a
+    return lambda x: spec.morse_v0 * (np.exp(-2.0 * a * x) - 2.0 * np.exp(-a * x))
+
+
+# kind: (parameters, potential, dimension, interval, which ascending
+# eigenvalues are the kind's levels); the 1D oscillator's even and odd
+# levels interleave
+_FINITE_DIFFERENCE_CASES = {
+    Kind.SHO1D_EVEN: ({}, _harmonic, 1, (-9, 9), slice(0, None, 2)),
+    Kind.SHO1D_ODD: ({}, _harmonic, 1, (-9, 9), slice(1, None, 2)),
+    Kind.SHO1D_HERMITE: ({}, _harmonic, 1, (-9, 9), slice(None)),
+    Kind.SHO2D: ({"m_quantum": 1}, _harmonic, 2, (0, 9), slice(None)),
+    Kind.SHO3D: ({"l_quantum": 1}, _harmonic, 3, (0, 9), slice(None)),
+    Kind.COULOMB2D: ({"m_quantum": 1}, _coulomb, 2, (0, 60), slice(None)),
+    Kind.COULOMB3D: ({}, _coulomb, 3, (0, 80), slice(None)),
+    Kind.MORSE: ({"morse_v0": 40.0}, _morse, 1, (-2, 10), slice(None)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BOUND_KINDS, key=lambda k: k.value))
+def test_first_levels_match_a_finite_difference_hamiltonian(kind):
+    """An oracle that shares no code with the catalog: the Hamiltonian itself."""
+    params, potential, d, (lo, hi), levels = _FINITE_DIFFERENCE_CASES[kind]
+    spec = ProblemSpec(kind=kind, **params)
+    v = _effective_potential(spec, d, potential(spec))
+    got = _finite_difference_levels(spec, v, lo, hi)[levels][:3]
+    want = [bound_energy(spec, n_start(spec) + i) for i in range(3)]
+    assert got == pytest.approx(want, rel=2e-3)
+
+
 class TestResidueLattice:
     def test_matches_catalog_away_from_morse(self):
-        for kind in sorted(BOUND_KINDS - {Kind.MORSE}, key=lambda k: k.value):
-            spec = ProblemSpec(kind=kind, m_quantum=1, l_quantum=2)
+        for kind in sorted(BOUND_KINDS, key=lambda k: k.value):
+            spec = ProblemSpec(kind=kind, m_quantum=1, l_quantum=2, morse_v0=31.0)
             for big_n in range(4):
                 want = bound_energy(spec, n_start(spec) + big_n)
-                assert residue_lattice_energy(spec, big_n) == pytest.approx(want, rel=1e-14)
+                assert residue_lattice_energy(spec, big_n) == want
 
     def test_morse_half_step(self):
         spec = ProblemSpec(kind=Kind.MORSE, morse_v0=3.125)  # delta = 2.5
@@ -274,12 +331,12 @@ class TestQuantizationCheck:
         morse = ProblemSpec(kind=Kind.MORSE, morse_v0=3.125)
         assert quantization_check(morse, -1.77) is None
 
-    def test_morse_lattice_sits_half_step_down(self):
+    def test_morse_levels_sit_on_the_residue_lattice(self):
         spec = ProblemSpec(kind=Kind.MORSE, mu=1.4, morse_a=0.9, morse_v0=6.0)
         for n in range(3):
             e = bound_energy(spec, n)
             exps = exponents(canonicalize(spec, e))
-            assert -exps.alpha_minus.real == pytest.approx(n - 0.5, rel=1e-12)
+            assert -exps.alpha_minus.real == pytest.approx(n, abs=1e-12)
 
     def test_not_bound(self):
         with pytest.raises(NotBoundProblem):

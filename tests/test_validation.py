@@ -207,8 +207,8 @@ class TestSpectrumTable:
     def test_morse_truncates_at_the_well_depth(self):
         spec = ProblemSpec(kind=Kind.MORSE, morse_v0=3.125)  # depth parameter 2.5
         rows = spectrum_table(spec, 10)
-        assert [qn.n for qn, _ in rows] == [0, 1, 2]
-        assert [e for _, e in rows] == pytest.approx([-3.125, -1.125, -0.125])
+        assert [qn.n for qn, _ in rows] == [0, 1]
+        assert [e for _, e in rows] == pytest.approx([-2.0, -0.5])
 
     def test_label_window_below_start_is_empty(self):
         assert spectrum_table(ProblemSpec(kind=Kind.COULOMB3D), 0) == []
