@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .contour_eval import ROUTES, ContourConfig, Method, MethodRegimeMismatch, sample_wavefunction
+from .core_laplace import degenerate_free, exponents
 from .potential_catalog import (
     BOUND_KINDS,
     DomainError,
@@ -27,6 +28,7 @@ from .potential_catalog import (
     ProblemSpec,
     SPEC_FIELDS,
     RegimeMismatch,
+    canonicalize,
     n_start,
 )
 from .validation import cross_method_report, spectrum_table
@@ -98,6 +100,10 @@ class RunConfig:
                 raise ConfigError("grid min must be below grid max")
         if self.method is Method.CIRCLE:
             self.contour()
+        if self.radius is not None and Method.CIRCLE in ROUTES[self.kind] and "E" in self.params:
+            ode = canonicalize(self.problem(), self.params["E"])
+            if degenerate_free(ode, exponents(ode)):  # the circle runs the free segment
+                raise ConfigError(f"{self.command} does not use --radius for {self.kind.value}")
 
     def problem(self) -> ProblemSpec:
         fields = {field: self.params[key] for key, field in _PROBLEM_KEYS.items()
@@ -302,8 +308,9 @@ def _parse_param(key: str, value: str) -> Tuple[str, float]:
     return key, parsed
 
 
-def _read_config_file(path: str) -> Dict[str, str]:
-    out: Dict[str, str] = {}
+def _config_flags(path: str) -> List[str]:
+    """The flags a key=value config file stands for, one token each, in file order."""
+    flags: List[str] = []
     try:
         with open(path) as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -315,10 +322,10 @@ def _read_config_file(path: str) -> Dict[str, str]:
                 key, _, value = (part.strip() for part in line.partition("="))
                 if key not in _FILE_KEYS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                out[key] = value
+                flags.append(("--param=" if key in _PARAM_KEYS else "--") + f"{key}={value}")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return out
+    return flags
 
 
 @lru_cache(maxsize=None)
@@ -354,30 +361,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _build_config(ns: argparse.Namespace) -> RunConfig:
-    file_values = _read_config_file(ns.config) if ns.config else {}
-
-    def pick(flag: str, key: str) -> Optional[str]:
-        v = getattr(ns, flag)
-        if v is not None:
-            return str(v)
-        return file_values.get(key)
-
-    kind_name = pick("kind", "kind")
-    if kind_name is None:
+    if ns.kind is None:
         raise ConfigError("--kind is required (or kind= in the config file)")
     try:
-        kind = Kind(kind_name)
+        kind = Kind(ns.kind)
     except ValueError:
         raise ConfigError(
-            f"unknown kind {kind_name!r}; known: "
+            f"unknown kind {ns.kind!r}; known: "
             + ", ".join(k.value for k in Kind)
         ) from None
 
     params: Dict[str, float] = {}
-    for key, value in file_values.items():
-        if key in _PARAM_KEYS:
-            k, v = _parse_param(key, value)
-            params[k] = v
     for item in ns.param:
         if "=" not in item:
             raise ConfigError(f"--param needs k=v, got {item!r}")
@@ -385,28 +379,14 @@ def _build_config(ns: argparse.Namespace) -> RunConfig:
         k, v = _parse_param(key.strip(), value.strip())
         params[k] = v
 
-    method_name = pick("method", "method")
-    if method_name is not None and method_name not in _METHOD_FLAGS:
-        raise ConfigError(
-            f"unknown method {method_name!r}; known: "
-            + ", ".join(sorted(_METHOD_FLAGS))
-        )
-
-    grid_text = pick("grid", "grid")
-    radius_text = pick("radius", "radius")
-    try:
-        radius = float(radius_text) if radius_text is not None else None
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
     cfg = RunConfig(
         command=ns.command,
         kind=kind,
         params=params,
-        method=_METHOD_FLAGS[method_name] if method_name else None,
-        grid=_parse_grid(grid_text) if grid_text is not None else None,
-        radius=radius,
-        out=pick("out", "out"),
+        method=_METHOD_FLAGS[ns.method] if ns.method else None,
+        grid=_parse_grid(ns.grid) if ns.grid is not None else None,
+        radius=ns.radius,
+        out=ns.out,
     )
     cfg.validate()
     return cfg
@@ -420,14 +400,16 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        if ns.config:  # the file's flags go first, so the command line's win
+            ns = parser.parse_args([ns.command, *_config_flags(ns.config), *argv[1:]])
         cfg = _build_config(ns)
         _emit(_COMMANDS[cfg.command](cfg), cfg.out)
+    except SystemExit as exc:  # argparse has printed its usage error, or --help
+        return int(exc.code or 0)
     except (ConfigError, *_INPUT_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -552,6 +552,7 @@ def sample_wavefunction(
     cmap = catalog.coordinate_map(spec, energy)
     xi = cmap.xi(coords)
     phi = phi_values(spec, energy, xi, method, config)
-    psi = cmap.prefactor(coords) * phi
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_finite names the point
+        psi = cmap.prefactor(coords) * phi
     _check_finite(psi, lambda i: f"prefactor * Phi gave {psi[i]} at coordinate {coords[i]:.6g}")
     return WavefunctionGrid(coords, xi, phi, psi, method=method, problem=spec, energy=energy)

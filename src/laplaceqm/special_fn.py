@@ -367,16 +367,13 @@ def tricomi_u(a, b, x) -> complex:
 
     Up to the crossover x = 13 + 1.5 |Im(b - a)| (and b not near an integer)
     the two-M connection formula is used, M summed in extended precision.
-    Past it, or where that raises, U's own Laplace-type integrals of
-    f(t) = e^{-x t} t^(a-1) (1+t)^(b-a-1) run on the quadrature engine.
-    For Re a > 1/2, Gamma(a) U = int_0^inf f dt (DLMF 13.4.4) on the
-    exp-sinh ray t = u / x (the table stops at u ~ e^{-317}, and the part
-    it cuts off, ~u^a, is below rounding only for Re a not near 0).
-    Otherwise the Hankel loop (DLMF 13.4.14)
-    U = e^{-i pi a} Gamma(1-a) / (2 pi i) int_inf^(0+) f dt, which holds for
-    any such a: the ray t = r + u / x, weighted by e^{2 pi i a} - 1, plus the
-    circle |t| = r, r = min(1/2, |a-1| / x), through the saddle point
-    (a-1)/x of e^{-x t} t^(a-1) and clear of t = -1.  The ray halves its step
+    Past it, or where that raises, U's Hankel loop (DLMF 13.4.14)
+    U = e^{-i pi a} Gamma(1-a) / (2 pi i) int_inf^(0+) f dt, with
+    f(t) = e^{-x t} t^(a-1) (1+t)^(b-a-1), runs on the quadrature engine: the
+    ray t = r + u / x, weighted by e^{2 pi i a} - 1, plus the circle |t| = r,
+    r = min(1/2, |a-1| / x), through the saddle point (a-1)/x of
+    e^{-x t} t^(a-1) and clear of t = -1.  It holds for any a but a positive
+    integer, where Gamma(1-a) raises PoleError.  The ray halves its step
     and the circle doubles its panels until two estimates agree;
     PrecisionLoss is warned when either does not, or when the rounding error
     eps * sum|summand| exceeds 1e-6 of the sum (small x with Re a << 0, where
@@ -393,20 +390,14 @@ def tricomi_u(a, b, x) -> complex:
         except (PoleError, SeriesDivergence, _Cancelled):
             pass  # fall through to the integral
 
-    def ray(r):
-        return _refine((_u_ray_sum(a, b, x, r, k) for k in range(_HALVINGS + 1)), _RAY_H0)
-
-    if a.real > 0.5:
-        total, mass, converged = ray(0.0)
-        value = total / gamma_complex(a)
-    else:
-        r = min(0.5, abs(a - 1.0) / x)
-        line, line_mass, line_ok = ray(r)
-        circle, circle_mass, circle_ok = _refine(
-            _u_circle_sum(a, b, x, r, 2**k) for k in range(_HALVINGS + 1))
-        weight = cmath.exp(2j * math.pi * a) - 1.0
-        total, mass = weight * line + circle, abs(weight) * line_mass + circle_mass
-        converged = line_ok and circle_ok
-        value = cmath.exp(-1j * math.pi * a) * gamma_complex(1.0 - a) / (2j * math.pi) * total
-    _warn_inexact(f"tricomi_u at a = {a:.6g}, b = {b:.6g}, x = {x:.6g}", total, mass, converged)
-    return value
+    pref = cmath.exp(-1j * math.pi * a) * gamma_complex(1.0 - a) / (2j * math.pi)
+    r = min(0.5, abs(a - 1.0) / x)
+    line, line_mass, line_ok = _refine(
+        (_u_ray_sum(a, b, x, r, k) for k in range(_HALVINGS + 1)), _RAY_H0)
+    circle, circle_mass, circle_ok = _refine(
+        _u_circle_sum(a, b, x, r, 2**k) for k in range(_HALVINGS + 1))
+    weight = cmath.exp(2j * math.pi * a) - 1.0
+    total, mass = weight * line + circle, abs(weight) * line_mass + circle_mass
+    _warn_inexact(f"tricomi_u at a = {a:.6g}, b = {b:.6g}, x = {x:.6g}", total, mass,
+                  line_ok and circle_ok)
+    return pref * total

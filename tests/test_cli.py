@@ -2,9 +2,12 @@
 
 import cmath
 import math
+import os
 import shlex
 import shutil
 import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -164,12 +167,17 @@ class TestWavefunctionCommand:
         assert out == ""
         assert "failed at point 1 (coordinate=500)" in err
         assert "circle route" in err
-        # Phi is finite but r^400 overflows the prefactor: psi is checked too
-        code, out, err = run(capsys, "wavefunction", "--kind", "sho3d",
-                             "--param", "l=400", "--grid=0,20,3")
+        # Phi is finite but r^400 overflows the prefactor: psi is checked too,
+        # and the exit-3 message is the only report (no numpy warning)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "wavefunction", "--kind", "sho3d",
+                                 "--param", "l=400", "--grid=0,20,3")
         assert code == 3
         assert out == ""
         assert "failed at point 1 (coordinate=10)" in err
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)
+                and not issubclass(w.category, sf.PrecisionLoss)] == []
 
     def test_bad_circle_radius(self, capsys):
         code, _, err = run(capsys, "wavefunction", "--kind", "coulomb3d_cont",
@@ -423,6 +431,42 @@ class TestConfigHandling:
         _, rows, _ = read_csv(out)
         assert [r[2] for r in rows] == [0.5, 1.5]
 
+    def test_config_file_lines_are_the_flags_they_stand_for(self, capsys, tmp_path):
+        # one token per line, so a grid that starts with a minus sign parses
+        flags = ("wavefunction", "--kind", "morse_cont", "--param", "E=1",
+                 "--param", "V0=2", "--grid=-4,4,81")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kind=morse_cont\nE=1\nV0=2\ngrid=-4,4,81\n")
+        code, out, err = run(capsys, "wavefunction", "--config", str(cfg))
+        assert (code, out, err) == run(capsys, *flags)
+        assert code == 0 and len(read_csv(out)[1]) == 81
+
+    @pytest.mark.parametrize("line,message", [
+        ("method=bogus", "argument --method: invalid choice: 'bogus'"),
+        ("radius=wide", "argument --radius: invalid float value: 'wide'"),
+    ])
+    def test_bad_config_value_fails_as_its_flag_does(self, capsys, tmp_path, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"kind=coulomb3d_cont\nE=1\ngrid=1,2,2\n{line}\n")
+        code, out, err = run(capsys, "wavefunction", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert message in err
+
+    def test_flag_beats_file_through_the_module_entry_point(self, tmp_path):
+        # main(None) reads sys.argv
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kind=sho1d_hermite\nomega=2.0\nn_max=1\n")
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "laplaceqm.cli", "spectrum", "--config", str(cfg),
+             "--param", "omega=1.0"],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "n,N,E\n0,0,5.000000000000e-01\n1,1,1.500000000000e+00\n"
+
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "spectrum", "--kind", "morse",
                            "--config", "/nonexistent/path.cfg")
@@ -473,6 +517,11 @@ class TestConfigHandling:
           "--radius", "1.5", "--grid", "1,2,2"), "--radius"),
         (("wavefunction", "--kind", "coulomb3d_cont", "--param", "E=1",
           "--method", "series", "--param", "n=2", "--grid", "1,2,2"), "--param"),
+        # free3d's circle integrates the degenerate free segment, which has no radius
+        (("validate", "--kind", "free3d", "--param", "E=1", "--grid", "0.5,10,4",
+          "--radius", "3"), "--radius for free3d"),
+        (("wavefunction", "--kind", "free3d", "--param", "E=1", "--grid", "0.5,10,4",
+          "--method", "circle", "--radius", "3"), "--radius for free3d"),
     ])
     def test_ignored_option_rejected(self, capsys, argv, option):
         code, out, err = run(capsys, *argv)

@@ -264,7 +264,7 @@ class TestTricomiU:
 
     # (a, b, x, U) past the Kummer crossover, from mpmath hyperu at 40 digits:
     # the deep Morse well V0 = 40, E = 1 and V0 = 1, E = 10 (mu = a = 1) on
-    # the Hankel loop, and two real a > 1/2 on the single ray
+    # the Hankel loop, and two real a > 1/2, also on the loop
     MPMATH = (
         (-8.44 + 1.41j, 1 + 2.83j, 15.2, complex(-24970525.502817813, 20805731.185032953)),
         (-8.44 + 1.41j, 1 + 2.83j, 17.8, complex(18531325.111323938, -26048779.7573399)),

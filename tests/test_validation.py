@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from laplaceqm.contour_eval import ContourConfig, Method, MethodRegimeMismatch
+from laplaceqm.contour_eval import ContourConfig, Method, MethodRegimeMismatch, phi_values
 import laplaceqm.validation as validation
 from laplaceqm.potential_catalog import (
     BOUND_KINDS,
@@ -119,6 +119,20 @@ class TestCrossMethodReport:
         assert all(np.isfinite(v).all() for v in report.values.values())
         assert all(np.isnan(dev).all() for dev in report.pairwise_rel_dev.values())
         assert math.isnan(report.pairwise_max_rel_dev)
+
+    @pytest.mark.filterwarnings("ignore::laplaceqm.special_fn.PrecisionLoss")
+    def test_a_failed_point_leaves_the_others_as_they_are_alone(self):
+        # the circle is not finite and the series diverges at xi = 2000 and
+        # 1500 only; every other value is that point's own one-point value
+        spec = ProblemSpec(kind=Kind.COULOMB3D_CONT)
+        grid = [1.0, 2000.0, 2.0, 1500.0, 3.0]
+        report = cross_method_report(spec, 1.0, grid)
+        for m, values in report.values.items():
+            failed = [] if m is Method.REAL_INTEGRAL else [1, 3]
+            assert np.flatnonzero(np.isnan(values)).tolist() == failed
+            for i, x in enumerate(grid):
+                if i not in failed:
+                    assert values[i] == phi_values(spec, 1.0, np.array([x]), m)[0]
 
     def test_rejects_non_continuum_kinds(self):
         with pytest.raises(MethodRegimeMismatch):
