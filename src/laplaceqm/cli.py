@@ -18,7 +18,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .contour_eval import ROUTES, ContourConfig, Method, MethodRegimeMismatch, sample_wavefunction
-from .core_laplace import degenerate_free, exponents
 from .potential_catalog import (
     BOUND_KINDS,
     DomainError,
@@ -28,7 +27,6 @@ from .potential_catalog import (
     ProblemSpec,
     SPEC_FIELDS,
     RegimeMismatch,
-    canonicalize,
     n_start,
 )
 from .validation import cross_method_report, spectrum_table
@@ -72,7 +70,7 @@ class RunConfig:
     params: Dict[str, float]
     method: Optional[Method] = None
     grid: Optional[Tuple[float, float, int]] = None
-    radius: Optional[float] = None  # None: the ContourConfig default
+    radius: Optional[float] = None  # None: no ContourConfig, the circle's default radius
     out: Optional[str] = None
 
     def validate(self) -> None:
@@ -98,12 +96,6 @@ class RunConfig:
                 raise ConfigError("grid count must be at least 2")
             if not lo < hi:
                 raise ConfigError("grid min must be below grid max")
-        if self.method is Method.CIRCLE:
-            self.contour()
-        if self.radius is not None and Method.CIRCLE in ROUTES[self.kind] and "E" in self.params:
-            ode = canonicalize(self.problem(), self.params["E"])
-            if degenerate_free(ode, exponents(ode)):  # the circle runs the free segment
-                raise ConfigError(f"{self.command} does not use --radius for {self.kind.value}")
 
     def problem(self) -> ProblemSpec:
         fields = {field: self.params[key] for key, field in _PROBLEM_KEYS.items()
@@ -113,9 +105,9 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def contour(self) -> ContourConfig:
+    def contour(self) -> Optional[ContourConfig]:
         try:
-            return ContourConfig() if self.radius is None else ContourConfig(self.radius)
+            return None if self.radius is None else ContourConfig(self.radius)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

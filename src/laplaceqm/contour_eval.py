@@ -128,13 +128,6 @@ def _each_point(xi, point):
 # ---------------------------------------------------------------------------
 # Bound routes
 
-def _falling(a: complex, j: int) -> complex:
-    out = 1.0 + 0j
-    for i in range(j):
-        out *= a - i
-    return out
-
-
 def _check_order(what: str, order, N: int) -> None:
     """Raise NonIntegerOrder unless order is the nonnegative integer N (to 1e-9)."""
     if N < 0 or abs(order - N) > 1e-9 * max(1.0, abs(N)):
@@ -144,33 +137,38 @@ def _check_order(what: str, order, N: int) -> None:
 def bound_phi_residue(ode: CanonicalODE, N: int, xi):
     """Phi from the order-N residue at z = -lambda.
 
-    Equals (2 pi i / N!) d^N/dz^N [e^{xi z} (z-lambda)^(alpha_plus - 1)] at
-    z = -lambda, expanded by Leibniz.  (-2 lambda)^w is taken as
-    (2 lambda)^w e^{i pi w}, the counterclockwise principal phase.
+    2 pi i times the N-th Taylor coefficient about -lambda of the kernel
+    f = e^{xi z} (z-lambda)^a, a = alpha_plus - 1, read off its first-order
+    equation (z-lambda) f' = (xi (z-lambda) + a) f: with x = 2 lambda xi the
+    coefficients f(-lambda) (-2 lambda)^(-j) w_j obey (j+1) w_{j+1} =
+    (a - j - x) w_j - x w_{j-1}, w_0 = 1, so Phi = 2 pi i (-2 lambda)^(beta-1)
+    e^{-x/2} w_N, with (-2 lambda)^w = (2 lambda)^w e^{i pi w}.  Each step
+    multiplies w_j by e^{-x/(2N)} and w_{j-1} by its square, spreading
+    e^{-x/2} so that neither it nor w_N leaves the double range.
     """
     exps = exponents(ode)
     _check_order("-alpha_minus", -exps.alpha_minus, N)
     lam = ode.lam.real
-    a = exps.alpha_plus - 1.0
-    coeffs = []
-    for k in range(N + 1):
-        w = a - (N - k)
-        coeffs.append(
-            math.comb(N, k)
-            * _falling(a, N - k)
-            * cmath.exp(w * math.log(2.0 * lam) + 1j * math.pi * w)
-            / math.factorial(N)
-        )
-    xs = np.asarray(xi, dtype=float)
-    acc = np.zeros_like(xs, dtype=complex) + coeffs[N]
-    for k in range(N - 1, -1, -1):
-        acc = acc * xs + coeffs[k]
-    out = 2j * math.pi * np.exp(-lam * xs) * acc
+    a = exps.alpha_plus.real - 1.0
+    x = 2.0 * lam * np.asarray(xi, dtype=float)
+    damp = np.exp(-0.5 * x / max(N, 1))
+    prev, cur = np.zeros_like(x), damp if N == 0 else np.ones_like(x)
+    for j in range(N):
+        prev, cur = cur, ((a - j - x) * damp * cur - x * damp * damp * prev) / (j + 1)
+    w = a - N  # beta - 1
+    out = 2j * math.pi * cmath.exp(w * math.log(2.0 * lam) + 1j * math.pi * w) * cur
     return out if np.ndim(xi) else complex(out)
 
 
+_HERMITE_N_MAX = 44  # the last n whose H_n holds 1e-6 of max|H_n e^{-xi^2/2}| (mpmath)
+
+
 def hermite_phi_residue(n: int, xi):
-    """Phi of the derivative-form oscillator route: exactly H_n(xi)."""
+    """Phi of the derivative-form oscillator route: exactly H_n(xi), for n <= 44."""
+    if n > _HERMITE_N_MAX:  # before any coefficient is built
+        raise catalog.InvalidQuantumNumbers(
+            f"sho1d_hermite n={n} is past n={_HERMITE_N_MAX}, the last level its power series "
+            f"holds to 1e-6; the same level is sho1d_{('even', 'odd')[n % 2]} n={n // 2}")
     return hermite(n, xi)
 
 
@@ -475,9 +473,14 @@ def morse_continuum_phi(ode: CanonicalODE, exps: Exponents, xi):
 # ---------------------------------------------------------------------------
 # Grid sampling
 
-def _check_method(spec: catalog.ProblemSpec, method: Method):
+def _check_method(spec: catalog.ProblemSpec, method: Method, energy=None, config=None):
+    """MethodRegimeMismatch unless the kind has this route and a config a circle reads."""
     if method not in ROUTES[spec.kind]:
         raise MethodRegimeMismatch(f"method {method.value} not valid for {spec.kind.value}")
+    if config is not None and (method is not Method.CIRCLE or degenerate_free(
+            ode := catalog.canonicalize(spec, energy), exponents(ode))):
+        raise MethodRegimeMismatch(
+            f"the {method.value} route for {spec.kind.value} reads no circle radius")
 
 
 def _check_finite(values: np.ndarray, message) -> None:
@@ -505,9 +508,10 @@ def phi_values(
     raises, its exception carrying the index in ``.point``, or that is not
     finite.  The values are then checked for finiteness at once: the first
     non-finite one raises FloatingPointError naming the route and xi, with
-    its index in ``.point``.  config sets the circle's radius.
+    its index in ``.point``.  config sets the circle's radius; one that no
+    circle reads (another route, or free3d's segment) is a MethodRegimeMismatch.
     """
-    _check_method(spec, method)
+    _check_method(spec, method, energy, config)
     xs = np.asarray(xi_values, dtype=float)
     if spec.kind is catalog.Kind.SHO1D_HERMITE:
         order = energy / spec.omega - 0.5

@@ -13,7 +13,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .contour_eval import ROUTES, ContourConfig, Method, MethodRegimeMismatch, phi_values
+from .contour_eval import (
+    ROUTES, ContourConfig, Method, MethodRegimeMismatch, _check_method, phi_values)
 from .potential_catalog import (
     BOUND_KINDS,
     CONTINUUM_KINDS,
@@ -64,15 +65,11 @@ def _onset(
 ) -> Optional[float]:
     run = 0
     for i in range(len(grid)):
-        r = ref[i]
-        if not (np.isfinite(r.real) and np.isfinite(r.imag)) or abs(r) < _REFERENCE_FLOOR:
+        r, v = ref[i], vals[i]
+        if not np.isfinite(r) or abs(r) < _REFERENCE_FLOOR:
             run = 0
             continue
-        v = vals[i]
-        if np.isfinite(v.real) and np.isfinite(v.imag):
-            dev = abs(v - r) / abs(r)
-        else:
-            dev = math.inf  # a failed evaluation is an exceedance
+        dev = abs(v - r) / abs(r) if np.isfinite(v) else math.inf  # a failure exceeds
         run = run + 1 if dev > _ONSET_THRESHOLD else 0
         if run == _ONSET_RUN:
             return float(grid[i - (_ONSET_RUN - 1)])
@@ -102,7 +99,8 @@ def cross_method_report(
 
     Evaluation errors are recorded as NaN at the offending point rather than
     aborting the report; they count as failures for onset detection.  An
-    energy the kind does not admit raises RegimeMismatch before any route runs.
+    energy the kind does not admit raises RegimeMismatch, and a cfg the circle
+    does not read MethodRegimeMismatch, before any route runs.
     """
     if spec.kind not in CONTINUUM_KINDS:
         raise MethodRegimeMismatch(
@@ -110,6 +108,7 @@ def cross_method_report(
             f"got {spec.kind.value}"
         )
     canonicalize(spec, energy)  # input errors propagate; route errors become NaN
+    _check_method(spec, Method.CIRCLE, energy, cfg)
     methods = ROUTES[spec.kind]
     xi = np.asarray(list(grid), dtype=float)
     values: Dict[Method, np.ndarray] = {}
@@ -118,7 +117,8 @@ def cross_method_report(
         out = np.empty(xi.shape, dtype=complex)
         for i, x in enumerate(xi):
             def evaluate():
-                return phi_values(spec, energy, np.array([x]), m, config=cfg)[0]
+                config = cfg if m is Method.CIRCLE else None
+                return phi_values(spec, energy, np.array([x]), m, config)[0]
             try:
                 if m is Method.REAL_INTEGRAL:
                     out[i], warned[i] = _noting_precision_loss(evaluate)

@@ -1,7 +1,8 @@
 """Closed-form Laguerre polynomials, an oracle for the residue route.
 
-The residue route expands its derivative by Leibniz and never calls these;
-the tests compare it, and the Hermite-Laguerre reduction, against them.
+The residue route reads its coefficient off the kernel's first-order
+equation, one recurrence over j, and never calls these; the tests compare
+it, and the Hermite-Laguerre reduction, against them.
 """
 
 import math

@@ -7,6 +7,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -84,6 +85,35 @@ class TestWavefunctionCommand:
         code, out, err = run(capsys, *base, "--param", "E=1e-8")
         assert (code, out) == (3, "")
         assert "point 0" in err and "delta = 14142.1" in err and "452.303" in err
+
+    @pytest.mark.parametrize("n", [41, 201])
+    def test_high_coulomb_level_against_mpmath(self, capsys, n):
+        # the residue's old power series in xi printed garbage with exit 0 at
+        # n = 41 and overflowed its big-integer coefficients (exit 3) at n = 201
+        mp = pytest.importorskip("mpmath")
+        from laplaceqm.potential_catalog import Kind, ProblemSpec, bound_energy, coordinate_map
+
+        hi = 2.0 * n * n + 20.0 * n  # past the last turning point, r = 2 n^2
+        code, out, _ = run(capsys, "wavefunction", "--kind", "coulomb3d", "--param", f"n={n}",
+                           f"--grid=0.5,{hi},9")
+        assert code == 0
+        _, rows, _ = read_csv(out)
+        got = np.array([complex(r[2], r[3]) for r in rows])
+        spec = ProblemSpec(kind=Kind.COULOMB3D)
+        xi = coordinate_map(spec, bound_energy(spec, n)).xi(np.linspace(0.5, hi, 9))
+        with mp.workdps(40):  # beta = 2, lambda = 1: Phi = -4 pi i e^{-xi} L_{n-1}^(1)(2 xi)
+            want = np.array([complex(-4j * mp.pi * mp.exp(-mp.mpf(x))
+                                     * mp.laguerre(n - 1, 1, 2 * mp.mpf(x))) for x in xi])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_hermite_level_past_its_series_exits_2_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "wavefunction", "--kind", "sho1d_hermite",
+                             "--param", "n=10000", "--grid=-1,1,3")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error: sho1d_hermite n=10000 is past n=44")
+        assert "sho1d_even n=5000" in err
 
     def test_bound_label_sets_energy_scale(self, capsys):
         # coulomb3d n=2: kappa = 1/2, so xi = r/2
@@ -517,17 +547,25 @@ class TestConfigHandling:
           "--radius", "1.5", "--grid", "1,2,2"), "--radius"),
         (("wavefunction", "--kind", "coulomb3d_cont", "--param", "E=1",
           "--method", "series", "--param", "n=2", "--grid", "1,2,2"), "--param"),
-        # free3d's circle integrates the degenerate free segment, which has no radius
-        (("validate", "--kind", "free3d", "--param", "E=1", "--grid", "0.5,10,4",
-          "--radius", "3"), "--radius for free3d"),
-        (("wavefunction", "--kind", "free3d", "--param", "E=1", "--grid", "0.5,10,4",
-          "--method", "circle", "--radius", "3"), "--radius for free3d"),
     ])
     def test_ignored_option_rejected(self, capsys, argv, option):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {argv[0]} does not use {option}")
+
+    @pytest.mark.parametrize("argv", [
+        ("validate", "--kind", "free3d", "--param", "E=1", "--grid", "0.5,10,4",
+         "--radius", "3"),
+        ("wavefunction", "--kind", "free3d", "--param", "E=1", "--grid", "0.5,10,4",
+         "--method", "circle", "--radius", "3"),
+    ])
+    def test_radius_for_free3d_rejected(self, capsys, argv):
+        # free3d's circle integrates the degenerate free segment, which has no
+        # radius; the library rejects it, for a library caller as for the CLI
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the circle route for free3d reads no circle radius")
 
     @pytest.mark.parametrize("argv,key", [
         (("spectrum", "--kind", "coulomb3d", "--param", "E=1", "--param", "n=4"), "E"),

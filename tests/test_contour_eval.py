@@ -36,6 +36,7 @@ from laplaceqm.contour_eval import (
 )
 from laplaceqm.core_laplace import default_phase_convention, exponents
 from laplaceqm.potential_catalog import (
+    InvalidQuantumNumbers,
     Kind,
     ProblemSpec,
     canonicalize,
@@ -180,7 +181,7 @@ class TestBoundResidue:
         (Kind.MORSE, {"morse_v0": 31.0}, 2),
     ])
     def test_rodrigues_reduction(self, kind, params, big_n):
-        """Leibniz-expanded residue equals the Laguerre closed form everywhere."""
+        """The residue's recurrence equals the Laguerre closed form everywhere."""
         spec = ProblemSpec(kind=kind, mu=1.2, omega=0.8, a0=1.1, morse_a=0.9, **params)
         ode = canonicalize(spec, residue_lattice_energy(spec, big_n))
         beta, lam = ode.beta.real, ode.lam.real
@@ -192,6 +193,27 @@ class TestBoundResidue:
             * np.exp(-lam * xi)
             * laguerre(big_n, beta - 1.0, 2.0 * lam * xi)
         )
+        got = bound_phi_residue(ode, big_n, xi)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("kind,params,big_n", [
+        *((kind, {}, big_n) for kind in (Kind.COULOMB3D, Kind.SHO3D, Kind.SHO1D_EVEN)
+          for big_n in (30, 100, 400)),
+        (Kind.MORSE, {"morse_v0": 20000.0}, 150),  # delta = 200
+    ])
+    def test_high_orders_against_mpmath(self, kind, params, big_n):
+        # a power series in xi cancels here: expanded by Leibniz it was off by
+        # 1e-2 of max|Phi| at N = 30, and its coefficients overflowed at N = 200
+        mp = pytest.importorskip("mpmath")
+        spec = ProblemSpec(kind=kind, **params)
+        ode = canonicalize(spec, residue_lattice_energy(spec, big_n))
+        b, lam = ode.beta.real - 1.0, ode.lam.real
+        # x = 2 lambda xi runs past the last turning point, x = 4N + 2b + 2
+        xi = np.linspace(0.0, (4 * big_n + 2 * b + 60) / (2 * lam), 17)
+        with mp.workdps(40):
+            want = np.array([complex(
+                2j * mp.pi * mp.expjpi(b) * (2 * lam) ** mp.mpf(b) * mp.exp(-lam * mp.mpf(x))
+                * mp.laguerre(big_n, b, 2 * lam * mp.mpf(x))) for x in xi])
         got = bound_phi_residue(ode, big_n, xi)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -211,6 +233,23 @@ class TestBoundResidue:
         xi = np.linspace(-2.0, 2.0, 7)
         assert np.array_equal(hermite_phi_residue(1, xi), 2.0 * xi)
         assert hermite_phi_residue(4, 0.0) == 12.0
+
+    def test_hermite_route_holds_to_its_last_level_and_stops_past_it(self):
+        # H_n's alternating integer coefficients cancel as n grows: relative to
+        # max|H_n e^{-xi^2/2}| on [0, sqrt(2n+1) + 3] the error is 6e-7 at
+        # n = 44 and 1.9e-6 at n = 46 against mpmath
+        mp = pytest.importorskip("mpmath")
+        n = ce._HERMITE_N_MAX
+        xi = np.linspace(0.0, math.sqrt(2 * n + 1) + 3.0, 201)
+        with mp.workdps(40):
+            want = np.array([float(mp.hermite(n, mp.mpf(x)) * mp.exp(-mp.mpf(x) ** 2 / 2))
+                             for x in xi])
+        got = hermite_phi_residue(n, xi) * np.exp(-0.5 * xi * xi)
+        assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
+        for past, parity in ((n + 1, "odd"), (10_000, "even")):
+            with pytest.raises(InvalidQuantumNumbers, match=(
+                    f"sho1d_hermite n={past} is past n={n}, .* sho1d_{parity} n={past // 2}$")):
+                hermite_phi_residue(past, xi)
 
 
 class TestRealIntegral:
@@ -613,6 +652,26 @@ class TestPhiValuesDispatch:
         with pytest.raises(FloatingPointError, match=r"residue route gave \(inf\+0j\) at xi = 3$") as info:
             phi_values(spec, -0.5, [1.0, 2.0, 3.0, 4.0], Method.RESIDUE)
         assert info.value.point == 2
+
+    def test_a_config_no_circle_reads_is_rejected(self):
+        # free3d's circle integrates the segment between the branch points,
+        # which has no radius, and no other route reads one
+        cases = ((Kind.FREE3D, 1.0, Method.CIRCLE), (Kind.FREE3D, 1.0, Method.SERIES),
+                 (Kind.COULOMB3D_CONT, 1.0, Method.REAL_INTEGRAL),
+                 (Kind.MORSE_CONT, 1.0, Method.MORSE_RAY), (Kind.COULOMB3D, -0.5, Method.RESIDUE),
+                 (Kind.SHO1D_HERMITE, 0.5, Method.RESIDUE))
+        for kind, energy, method in cases:
+            spec = ProblemSpec(kind=kind)
+            with pytest.raises(MethodRegimeMismatch, match=(
+                    f"^the {method.value} route for {kind.value} reads no circle radius$")):
+                phi_values(spec, energy, [0.5, 3.0, 10.0], method, ContourConfig(3.0))
+            phi_values(spec, energy, [0.5, 3.0, 10.0], method)  # no config: runs
+        spec = ProblemSpec(kind=Kind.FREE2D)  # half-odd alpha: the circle reads R
+        grid = [0.5, 3.0]
+        assert (phi_values(spec, 1.0, grid, Method.CIRCLE, ContourConfig(1.1)).tolist()
+                == phi_values(spec, 1.0, grid, Method.CIRCLE).tolist())
+        assert (phi_values(spec, 1.0, grid, Method.CIRCLE, ContourConfig(3.0)).tolist()
+                != phi_values(spec, 1.0, grid, Method.CIRCLE).tolist())
 
     def test_hermite_kind_takes_energy(self):
         spec = ProblemSpec(kind=Kind.SHO1D_HERMITE)

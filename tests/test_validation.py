@@ -112,6 +112,26 @@ class TestCrossMethodReport:
                                      cfg=ContourConfig(radius_R=1.3))
         assert report.pairwise_max_rel_dev < 1e-6
 
+    def test_config_goes_to_the_circle_only(self, monkeypatch):
+        seen = []
+
+        def recording(spec, energy, xi, method, config=None):
+            seen.append((method, config))
+            return phi_values(spec, energy, xi, method, config)
+
+        monkeypatch.setattr(validation, "phi_values", recording)
+        cfg = ContourConfig(radius_R=1.3)
+        cross_method_report(ProblemSpec(kind=Kind.FREE2D), 1.0, [0.5, 1.5], cfg=cfg)
+        assert sorted(set(seen), key=lambda p: p[0].value) == [
+            (Method.CIRCLE, cfg), (Method.REAL_INTEGRAL, None), (Method.SERIES, None)]
+
+    def test_config_the_circle_does_not_read_is_rejected(self):
+        # free3d's circle runs the segment between the branch points: no radius
+        with pytest.raises(MethodRegimeMismatch,
+                           match="^the circle route for free3d reads no circle radius$"):
+            cross_method_report(ProblemSpec(kind=Kind.FREE3D), 1.0, [0.5, 3.0],
+                                cfg=ContourConfig(radius_R=3.0))
+
     def test_no_usable_point_is_not_agreement(self):
         # |Phi_ref| ~ 1e-13 stays below the 1e-12 floor at every point
         report = cross_method_report(ProblemSpec(kind=Kind.COULOMB3D_CONT), 1e26,

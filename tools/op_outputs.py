@@ -16,7 +16,11 @@ filter), so what stderr holds does not depend on the order of operations.
 ``compare`` reports every operation whose exit code or stdout differs, and
 every one whose stderr differs in more than the location of a warning (the
 ``file:line:`` prefix of a warning line and the source line printed under
-it).  It exits 0 when nothing else differs, and 1 otherwise.
+it).  Where two CSV outputs differ only in numbers, it also prints how many
+numeric cells differ and the largest change relative to the largest
+magnitude of its quantity in that operation; ``re_X`` and ``im_X`` count as
+one complex X, and a ``# key = value`` footer as one more quantity.  It
+exits 0 when nothing else differs, and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ import sys
 import traceback
 import warnings
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 WARNING_LINE = re.compile(r"^\S.*:\d+: (\w+): ")
@@ -75,6 +81,57 @@ def _without_locations(stderr: str):
     return lines
 
 
+def _cells(stdout: str):
+    """{column or footer key: list of cell texts} of a CSV document."""
+    lines = stdout.splitlines()
+    table = [line.split(",") for line in lines if line and not line.startswith("#")]
+    cells = {name: [row[j] for row in table[1:]] for j, name in enumerate(table[0] if table else [])}
+    for line in lines:
+        key, equals, value = line.lstrip("# ").partition(" = ")
+        if line.startswith("#") and equals:
+            cells["# " + key] = [value]
+    return cells
+
+
+def _quantities(cells):
+    """{quantity: complex array} of the numeric columns, re_X and im_X joined as X."""
+    out = {}
+    for name, texts in cells.items():
+        try:
+            values = np.array([float(t) for t in texts])
+        except ValueError:
+            continue  # a text column
+        if name.startswith("im_") and "re_" + name[3:] in out:
+            out[name[3:]] = out.pop("re_" + name[3:]) + 1j * values
+        else:
+            out[name] = values.astype(complex)
+    return out
+
+
+def _numeric_change(x: str, y: str) -> str:
+    """How two CSV outputs differ: numeric cells changed and the largest relative change."""
+    a, b = _cells(x), _cells(y)
+    if a.keys() != b.keys() or any(len(a[k]) != len(b[k]) for k in a):
+        return "the tables differ in shape"
+    changed = [k for k in a for u, v in zip(a[k], b[k]) if u != v]
+    qa, qb = _quantities(a), _quantities(b)
+    # a changed re_X or im_X cell belongs to the quantity X
+    if qa.keys() != qb.keys() or any(k not in qa and k[3:] not in qa for k in changed):
+        return "text cells differ"
+
+    def relative_change(k):
+        """max |after - before| / max |before| over quantity k; a value turned NaN is inf."""
+        same = (qa[k] == qb[k]) | (np.isnan(qa[k]) & np.isnan(qb[k]))
+        change = np.max(np.nan_to_num(np.where(same, 0.0, np.abs(qb[k] - qa[k])), nan=np.inf),
+                        initial=0.0)
+        scale = np.max(np.nan_to_num(np.abs(qa[k]), nan=0.0), initial=0.0)
+        return change / scale if scale else change
+
+    with np.errstate(invalid="ignore"):
+        worst, where = max(((relative_change(k), k) for k in qa), default=(0.0, "-"))
+    return f"{len(changed)} numeric cells, largest change {worst:.2g} of max|{where}|"
+
+
 def compare(before: Path, after: Path) -> int:
     a, b = (json.loads(p.read_text())["ops"] for p in (before, after))
     if [op["argv"] for op in a] != [op["argv"] for op in b]:
@@ -89,8 +146,9 @@ def compare(before: Path, after: Path) -> int:
             stderr_moved += 1
         if what:
             differ += 1
+            detail = f" ({_numeric_change(x['stdout'], y['stdout'])})" if "stdout" in what else ""
             print(f"{x['workload']} seed {x['seed']}: {' '.join(x['argv'])}: "
-                  f"{', '.join(what)} differ")
+                  f"{', '.join(what)} differ{detail}")
     print(f"{len(a)} operations: {differ} differ; {stderr_moved} more differ only "
           "in the locations of their warnings")
     return 1 if differ else 0
