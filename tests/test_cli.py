@@ -25,6 +25,7 @@ from laplaceqm.cli import (
     read_csv,
     render_csv,
 )
+from laplaceqm.potential_catalog import Kind, ProblemSpec, bound_energy, coordinate_map
 
 
 def run(capsys, *argv):
@@ -88,11 +89,9 @@ class TestWavefunctionCommand:
 
     @pytest.mark.parametrize("n", [41, 201])
     def test_high_coulomb_level_against_mpmath(self, capsys, n):
-        # the residue's old power series in xi printed garbage with exit 0 at
-        # n = 41 and overflowed its big-integer coefficients (exit 3) at n = 201
+        # a power series in xi cancels to garbage at n = 41, and its integer
+        # coefficients no longer fit a double at n = 201
         mp = pytest.importorskip("mpmath")
-        from laplaceqm.potential_catalog import Kind, ProblemSpec, bound_energy, coordinate_map
-
         hi = 2.0 * n * n + 20.0 * n  # past the last turning point, r = 2 n^2
         code, out, _ = run(capsys, "wavefunction", "--kind", "coulomb3d", "--param", f"n={n}",
                            f"--grid=0.5,{hi},9")

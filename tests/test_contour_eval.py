@@ -202,8 +202,8 @@ class TestBoundResidue:
         (Kind.MORSE, {"morse_v0": 20000.0}, 150),  # delta = 200
     ])
     def test_high_orders_against_mpmath(self, kind, params, big_n):
-        # a power series in xi cancels here: expanded by Leibniz it was off by
-        # 1e-2 of max|Phi| at N = 30, and its coefficients overflowed at N = 200
+        # a power series in xi cancels here (1e-2 of max|Phi| at N = 30), and
+        # its integer coefficients no longer fit a double from N = 171
         mp = pytest.importorskip("mpmath")
         spec = ProblemSpec(kind=kind, **params)
         ode = canonicalize(spec, residue_lattice_energy(spec, big_n))
