@@ -134,6 +134,13 @@ def _check_order(what: str, order, N: int) -> None:
         raise NonIntegerOrder(f"{what} = {order:.6g} is not the nonnegative integer {N}")
 
 
+def _half_turns(w: float) -> complex:
+    """e^{i pi w} for real w: exactly 1, i, -1 or -i whenever 2w is an integer."""
+    if 2.0 * w == round(2.0 * w):
+        return (1 + 0j, 1j, -1 + 0j, -1j)[round(2.0 * w) % 4]
+    return cmath.exp(1j * math.pi * w)
+
+
 def bound_phi_residue(ode: CanonicalODE, N: int, xi):
     """Phi from the order-N residue at z = -lambda.
 
@@ -155,64 +162,48 @@ def bound_phi_residue(ode: CanonicalODE, N: int, xi):
     prev, cur = np.zeros_like(x), damp if N == 0 else np.ones_like(x)
     for j in range(N):
         prev, cur = cur, ((a - j - x) * damp * cur - x * damp * damp * prev) / (j + 1)
-    w = a - N  # beta - 1
-    out = 2j * math.pi * cmath.exp(w * math.log(2.0 * lam) + 1j * math.pi * w) * cur
+    w = ode.beta.real - 1.0
+    out = 2j * math.pi * math.exp(w * math.log(2.0 * lam)) * _half_turns(w) * cur
     return out if np.ndim(xi) else complex(out)
 
 
-_HERMITE_N_MAX = 44  # the last n whose H_n holds 1e-6 of max|H_n e^{-xi^2/2}| (mpmath)
+_HERMITE_N_MAX = 192  # the last n whose H_n stays finite on [0, sqrt(2n + 1) + 3]
 
 
 def hermite_phi_residue(n: int, xi):
-    """Phi of the derivative-form oscillator route: exactly H_n(xi), for n <= 44."""
-    if n > _HERMITE_N_MAX:  # before any coefficient is built
+    """Phi of the derivative-form oscillator route: H_n(xi), for n <= 192."""
+    if n > _HERMITE_N_MAX:  # before the recurrence runs
         raise catalog.InvalidQuantumNumbers(
-            f"sho1d_hermite n={n} is past n={_HERMITE_N_MAX}, the last level its power series "
-            f"holds to 1e-6; the same level is sho1d_{('even', 'odd')[n % 2]} n={n // 2}")
-    return hermite(n, xi)
+            f"sho1d_hermite n={n} is past n={_HERMITE_N_MAX}, the last level whose H_n stays "
+            f"finite; the same level is sho1d_{('even', 'odd')[n % 2]} n={n // 2}")
+    with np.errstate(over="ignore", invalid="ignore"):  # phi_values names the point
+        return hermite(n, xi)
 
 
 # ---------------------------------------------------------------------------
 # Continuum: real segment integral
-
-def _integer_re_alpha_plus(exps: Exponents) -> bool:
-    """True for an integer Re(alpha_plus), False for a half-odd one.
-
-    These are the two cases where e^{2 pi i Re(alpha_plus)} = +-1 exactly,
-    which the edge factor uses in closed form; any other Re(alpha_plus)
-    raises.
-    """
-    re_ap = exps.alpha_plus.real
-    if abs(re_ap - round(re_ap)) < 1e-9:
-        return True
-    if abs(2.0 * re_ap - round(2.0 * re_ap)) < 1e-9:
-        return False
-    raise MethodRegimeMismatch(
-        f"edge combination undefined for Re(alpha_plus) = {re_ap:.6g}"
-    )
-
 
 # sinh and cosh of pi delta / 2 overflow a double past this |delta|
 _EDGE_DELTA_MAX = 2.0 * (math.log(np.finfo(float).max) + math.log(2.0)) / math.pi
 
 
 def _edge_prefactor(ode: CanonicalODE, exps: Exponents) -> complex:
-    """Edge-combination factor i(e^{-pi delta/2} -+ e^{pi delta/2}) times 2^(beta-1).
+    """Edge-combination factor i(e^{-pi delta/2} - c e^{pi delta/2}) times 2^(beta-1).
 
-    The prefactor the real integral and the series share.  Minus sign when
-    Re(alpha_plus) is an integer, plus when half-odd, taken as
-    -2i sinh(pi delta/2) and 2i cosh(pi delta/2) so a tiny delta keeps
-    its digits. In the degenerate free case the bracket vanishes
-    identically: the two edges cancel, so the open segment between the
-    branch points is used instead with unit coefficient.
+    The prefactor the real integral and the series share, c = e^{i pi beta},
+    as i[(1 - c) cosh(pi delta/2) - (1 + c) sinh(pi delta/2)]: for the
+    catalog's integer beta one term is exactly 0, so a tiny delta keeps its
+    digits. In the degenerate free case the bracket vanishes identically:
+    the two edges cancel, so the open segment between the branch points is
+    used instead with unit coefficient.
     """
     scale = cmath.exp((exps.alpha_plus + exps.alpha_minus - 1.0) * math.log(2.0))
     if degenerate_free(ode, exps):
         return 1j * scale
     half = 0.5 * math.pi * ode.delta
-    integer = _integer_re_alpha_plus(exps)
+    c = _half_turns(ode.beta.real)
     try:
-        return (-2j * math.sinh(half) if integer else 2j * math.cosh(half)) * scale
+        return 1j * ((1.0 - c) * math.cosh(half) - (1.0 + c) * math.sinh(half)) * scale
     except OverflowError:
         raise OverflowError(
             f"edge factor overflows at delta = {ode.delta:.6g}: |delta| must stay below "

@@ -134,6 +134,9 @@ class ProblemSpec:
         for name in ("mu", "omega", "a0", "morse_a", "morse_v0"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
+        for name in ("m_quantum", "l_quantum"):
+            if not float(getattr(self, name)).is_integer():
+                raise InvalidQuantumNumbers(f"{name} must be an integer, got {getattr(self, name)}")
         if self.l_quantum < 0:
             raise InvalidQuantumNumbers("l must be >= 0")
 

@@ -1,10 +1,10 @@
 """Special functions backing the contour solver.
 
-Closed-form Hermite polynomials, a Lanczos complex Gamma, the confluent
-hypergeometric pair M and U, and the quadrature engine that Tricomi U and
-the continuum routes share: nested exp-sinh node tables, Gauss-Legendre
-panels, a stop at the first two estimates that agree, and a PrecisionLoss
-warning from the measured rounding error.
+Hermite polynomials by their three-term recurrence, a Lanczos complex
+Gamma, the confluent hypergeometric pair M and U, and the quadrature engine
+that Tricomi U and the continuum routes share: nested exp-sinh node tables,
+Gauss-Legendre panels, a stop at the first two estimates that agree, and a
+PrecisionLoss warning from the measured rounding error.
 """
 
 from __future__ import annotations
@@ -79,31 +79,21 @@ def gamma_complex(z) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Hermite closed form
-
-@lru_cache(maxsize=None)
-def hermite_coefficients(n: int):
-    """Ascending integer coefficients of the physicists' H_n."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    coeffs = [0] * (n + 1)
-    for k in range(n // 2 + 1):
-        # n!/(k!(n-2k)!) is integral, so // is exact here
-        coeffs[n - 2 * k] = (
-            (-1) ** k
-            * (math.factorial(n) // (math.factorial(k) * math.factorial(n - 2 * k)))
-            * 2 ** (n - 2 * k)
-        )
-    return tuple(coeffs)
-
+# Hermite polynomials
 
 def hermite(n: int, x):
-    """Physicists' Hermite H_n(x)."""
-    c = hermite_coefficients(n)
-    acc = 0.0 * np.asarray(x, dtype=float) + c[-1]
-    for k in range(n - 1, -1, -1):
-        acc = acc * x + c[k]
-    return acc if np.ndim(x) else float(acc)
+    """Physicists' H_n(x) = n! [z^n] e^{2xz - z^2}, by the kernel's f' = (2x - 2z) f.
+
+    That equation is H_{j+1} = 2x H_j - 2j H_{j-1}, exact where 2x is an
+    integer and every H_j fits a double's mantissa.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    xs = np.asarray(x, dtype=float)
+    prev, cur = np.zeros_like(xs), np.ones_like(xs)
+    for j in range(n):
+        prev, cur = cur, 2.0 * xs * cur - 2.0 * j * prev
+    return cur if np.ndim(x) else float(cur)
 
 
 # ---------------------------------------------------------------------------

@@ -105,13 +105,24 @@ class TestWavefunctionCommand:
                                      * mp.laguerre(n - 1, 1, 2 * mp.mpf(x))) for x in xi])
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("kind, n, part", [("coulomb3d", 2, "re"), ("sho1d_even", 1, "im")])
+    def test_real_state_prints_its_zero_part_exactly(self, capsys, kind, n, part):
+        # the residue phase e^{i pi (beta - 1)} is exactly -1 and -i here;
+        # cmath.exp printed its rounding as 1e-16 of max|Phi|
+        code, out, _ = run(capsys, "wavefunction", "--kind", kind, "--param", f"n={n}",
+                           "--grid=0.5,4,3")
+        header, rows, _ = read_csv(out)
+        assert code == 0
+        for column in (f"{part}_phi", f"{part}_psi"):
+            assert [row[header.index(column)] for row in rows] == [0.0] * 3
+
     def test_hermite_level_past_its_series_exits_2_at_once(self, capsys):
         start = time.perf_counter()
         code, out, err = run(capsys, "wavefunction", "--kind", "sho1d_hermite",
                              "--param", "n=10000", "--grid=-1,1,3")
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
-        assert err.startswith("error: sho1d_hermite n=10000 is past n=44")
+        assert err.startswith("error: sho1d_hermite n=10000 is past n=192")
         assert "sho1d_even n=5000" in err
 
     def test_bound_label_sets_energy_scale(self, capsys):
@@ -196,17 +207,20 @@ class TestWavefunctionCommand:
         assert out == ""
         assert "failed at point 1 (coordinate=500)" in err
         assert "circle route" in err
-        # Phi is finite but r^400 overflows the prefactor: psi is checked too,
-        # and the exit-3 message is the only report (no numpy warning)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code, out, err = run(capsys, "wavefunction", "--kind", "sho3d",
-                                 "--param", "l=400", "--grid=0,20,3")
-        assert code == 3
-        assert out == ""
-        assert "failed at point 1 (coordinate=10)" in err
-        assert [w for w in caught if issubclass(w.category, RuntimeWarning)
-                and not issubclass(w.category, sf.PrecisionLoss)] == []
+        # Phi is finite but r^400 overflows the prefactor: psi is checked too;
+        # H_192 overflows at xi = 30. The exit-3 message is the only report
+        # (no numpy warning)
+        for kind, param, grid in (("sho3d", "l=400", "0,20,3"),
+                                  ("sho1d_hermite", "n=192", "0,30,2")):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, out, err = run(capsys, "wavefunction", "--kind", kind,
+                                     "--param", param, f"--grid={grid}")
+            assert code == 3
+            assert out == ""
+            assert "failed at point 1 (coordinate=" in err
+            assert [w for w in caught if issubclass(w.category, RuntimeWarning)
+                    and not issubclass(w.category, sf.PrecisionLoss)] == []
 
     def test_bad_circle_radius(self, capsys):
         code, _, err = run(capsys, "wavefunction", "--kind", "coulomb3d_cont",
@@ -758,7 +772,7 @@ def test_readme_commands_run(capsys):
     block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     commands = [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
                 if line.startswith("laplaceqm ")]
-    assert len(commands) == 4
+    assert len(commands) == 5
     for argv in commands:
         assert main(argv) == 0, argv
         capsys.readouterr()

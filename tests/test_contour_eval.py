@@ -42,7 +42,7 @@ from laplaceqm.potential_catalog import (
     canonicalize,
     residue_lattice_energy,
 )
-from laplaceqm.special_fn import SeriesDivergence
+from laplaceqm.special_fn import SeriesDivergence, hermite
 
 from laguerre_closed_form import laguerre
 
@@ -229,23 +229,31 @@ class TestBoundResidue:
         assert isinstance(bound_phi_residue(ode, 0, 1.0), complex)
         assert bound_phi_residue(ode, 0, np.array([1.0])).shape == (1,)
 
+    def test_half_turns_are_exact(self):
+        for k in range(-8, 9):
+            assert ce._half_turns(0.5 * k) == (1, 1j, -1, -1j)[k % 4]
+        assert ce._half_turns(0.3) == cmath.exp(0.3j * math.pi)
+
     def test_hermite_route_is_the_polynomial(self):
         xi = np.linspace(-2.0, 2.0, 7)
         assert np.array_equal(hermite_phi_residue(1, xi), 2.0 * xi)
         assert hermite_phi_residue(4, 0.0) == 12.0
 
     def test_hermite_route_holds_to_its_last_level_and_stops_past_it(self):
-        # H_n's alternating integer coefficients cancel as n grows: relative to
-        # max|H_n e^{-xi^2/2}| on [0, sqrt(2n+1) + 3] the error is 6e-7 at
-        # n = 44 and 1.9e-6 at n = 46 against mpmath
+        # the recurrence reads 1.0e-14 of max|H_n e^{-xi^2/2}| on
+        # [0, sqrt(2n+1) + 3] at n = 192 against mpmath
         mp = pytest.importorskip("mpmath")
         n = ce._HERMITE_N_MAX
-        xi = np.linspace(0.0, math.sqrt(2 * n + 1) + 3.0, 201)
-        with mp.workdps(40):
-            want = np.array([float(mp.hermite(n, mp.mpf(x)) * mp.exp(-mp.mpf(x) ** 2 / 2))
-                             for x in xi])
-        got = hermite_phi_residue(n, xi) * np.exp(-0.5 * xi * xi)
-        assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
+        for level in (45, 100, 170, n):
+            xi = np.linspace(0.0, math.sqrt(2 * level + 1) + 3.0, 201)
+            with mp.workdps(50):
+                want = np.array([float(mp.hermite(level, mp.mpf(x))
+                                       * mp.exp(-mp.mpf(x) ** 2 / 2)) for x in xi])
+            got = hermite_phi_residue(level, xi) * np.exp(-0.5 * xi * xi)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), level
+        # one level past the bound, H_n overflows 3 past its turning point
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not math.isfinite(hermite(n + 1, math.sqrt(2 * n + 3) + 3.0))
         for past, parity in ((n + 1, "odd"), (10_000, "even")):
             with pytest.raises(InvalidQuantumNumbers, match=(
                     f"sho1d_hermite n={past} is past n={n}, .* sho1d_{parity} n={past // 2}$")):
@@ -312,14 +320,6 @@ class TestRealIntegral:
 
     def test_regime_guard(self):
         ode = canonicalize(ProblemSpec(kind=Kind.SHO1D_EVEN), 0.5)
-        with pytest.raises(MethodRegimeMismatch):
-            continuum_phi_real_integral(ode, exponents(ode), 1.0)
-
-    def test_fractional_edge_exponent_rejected(self):
-        # synthetic beta = 1.4: Re(alpha_plus) is neither integer nor half-odd
-        from laplaceqm.core_laplace import CanonicalODE, Regime
-
-        ode = CanonicalODE(beta=1.4 + 0j, delta=0.3, lam=1j, regime=Regime.CONTINUUM)
         with pytest.raises(MethodRegimeMismatch):
             continuum_phi_real_integral(ode, exponents(ode), 1.0)
 

@@ -53,6 +53,14 @@ class TestKindSets:
         # negative m is legitimate (azimuthal sign enters only as |m|)
         ProblemSpec(kind=Kind.SHO2D, m_quantum=-2)
 
+    def test_spec_rejects_fractional_angular_number(self):
+        # a fractional m or l would give the edge factor a non-integer beta
+        for name in ("m_quantum", "l_quantum"):
+            for value in (0.3, 0.5, -1.5, math.nan):
+                with pytest.raises(InvalidQuantumNumbers, match=f"{name} must be an integer"):
+                    ProblemSpec(kind=Kind.COULOMB3D_CONT, **{name: value})
+            ProblemSpec(kind=Kind.COULOMB3D_CONT, **{name: 2.0})
+
     @pytest.mark.parametrize("name", ["mu", "omega", "a0", "morse_a", "morse_v0"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_spec_rejects_non_finite(self, name, value):
