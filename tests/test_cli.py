@@ -210,15 +210,15 @@ class TestWavefunctionCommand:
         # Phi is finite but r^400 overflows the prefactor: psi is checked too;
         # H_192 overflows at xi = 30. The exit-3 message is the only report
         # (no numpy warning)
-        for kind, param, grid in (("sho3d", "l=400", "0,20,3"),
-                                  ("sho1d_hermite", "n=192", "0,30,2")):
+        for kind, param, grid, coord in (("sho3d", "l=400", "0,20,3", "10"),
+                                         ("sho1d_hermite", "n=192", "0,30,2", "30")):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 code, out, err = run(capsys, "wavefunction", "--kind", kind,
                                      "--param", param, f"--grid={grid}")
             assert code == 3
             assert out == ""
-            assert "failed at point 1 (coordinate=" in err
+            assert f"failed at point 1 (coordinate={coord})" in err
             assert [w for w in caught if issubclass(w.category, RuntimeWarning)
                     and not issubclass(w.category, sf.PrecisionLoss)] == []
 

@@ -323,6 +323,22 @@ class TestRealIntegral:
         with pytest.raises(MethodRegimeMismatch):
             continuum_phi_real_integral(ode, exponents(ode), 1.0)
 
+    def test_fractional_edge_exponent_takes_the_general_edge_factor(self):
+        # synthetic beta = 1.4, outside the catalog: c = e^{i pi beta} is
+        # neither 1 nor -1. Truth is i(e^{-pi delta/2} - c e^{pi delta/2})
+        # 2^(beta-1) e^{-i xi} B(alpha_-, alpha_+) M(alpha_-, beta, 2 i xi)
+        # from 30-digit mpmath; xi = 0.5 is on the segment, 2 and 5.5 on the rays
+        from laplaceqm.core_laplace import CanonicalODE, Regime
+
+        ode = CanonicalODE(beta=1.4 + 0j, delta=0.3, lam=1j, regime=Regime.CONTINUUM)
+        for xi, want in ((0.5, -3.0410080707720804 + 2.2340268965311654j),
+                         (2.0, -0.45418568979970325 + 0.33366009672394104j),
+                         (5.5, -0.15449460514072244 + 0.11349693760125643j)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = continuum_phi_real_integral(ode, exponents(ode), xi)
+            assert abs(got - want) <= 1e-13 * abs(want), xi
+
 
 class TestSeries:
     def test_agrees_with_segment_integral(self):
