@@ -9,7 +9,6 @@ return, and the exceptions they raise; every other layer stays importable
 from its own module.
 """
 
-from .core_laplace import BranchPointEvaluation
 from .potential_catalog import (
     DomainError,
     InvalidQuantumNumbers,
@@ -47,7 +46,6 @@ __all__ = [
     "sample_wavefunction",
     "spectrum_table",
     # exceptions and warnings
-    "BranchPointEvaluation",
     "DomainError",
     "InvalidQuantumNumbers",
     "MethodRegimeMismatch",

@@ -74,12 +74,10 @@ class RunConfig:
     out: Optional[str] = None
 
     def validate(self) -> None:
-        ignored = {"spectrum": ("method", "radius", "grid"), "validate": ("method",),
-                   "wavefunction": () if self.method is Method.CIRCLE else ("radius",)}
-        for name in ignored[self.command]:
+        ignored = {"spectrum": ("method", "radius", "grid"), "validate": ("method",)}
+        for name in ignored.get(self.command, ()):
             if getattr(self, name) is not None:
-                where = " without --method circle" if self.command == "wavefunction" else ""
-                raise ConfigError(f"{self.command} does not use --{name}{where}")
+                raise ConfigError(f"{self.command} does not use --{name}")
         unused = {"spectrum": ("E", "n"), "validate": ("n", "n_max"),
                   "wavefunction": ("E" if self.kind in BOUND_KINDS else "n", "n_max")}
         unread = [key for key, field in _PROBLEM_KEYS.items()

@@ -151,7 +151,7 @@ def bound_phi_residue(ode: CanonicalODE, N: int, xi):
     (a - j - x) w_j - x w_{j-1}, w_0 = 1, so Phi = 2 pi i (-2 lambda)^(beta-1)
     e^{-x/2} w_N, with (-2 lambda)^w = (2 lambda)^w e^{i pi w}.  Each step
     multiplies w_j by e^{-x/(2N)} and w_{j-1} by its square, spreading
-    e^{-x/2} so that neither it nor w_N leaves the double range.
+    e^{-x/2}; w_j itself overflows near xi = 0 past N ~ 1000.
     """
     exps = exponents(ode)
     _check_order("-alpha_minus", -exps.alpha_minus, N)
@@ -160,22 +160,18 @@ def bound_phi_residue(ode: CanonicalODE, N: int, xi):
     x = 2.0 * lam * np.asarray(xi, dtype=float)
     damp = np.exp(-0.5 * x / max(N, 1))
     prev, cur = np.zeros_like(x), damp if N == 0 else np.ones_like(x)
-    for j in range(N):
-        prev, cur = cur, ((a - j - x) * damp * cur - x * damp * damp * prev) / (j + 1)
     w = ode.beta.real - 1.0
-    out = 2j * math.pi * math.exp(w * math.log(2.0 * lam)) * _half_turns(w) * cur
+    with np.errstate(over="ignore", invalid="ignore"):  # phi_values names the point
+        for j in range(N):
+            prev, cur = cur, ((a - j - x) * damp * cur - x * damp * damp * prev) / (j + 1)
+            if not np.isfinite(cur).any():  # an overflow is final
+                break
+        out = 2j * math.pi * math.exp(w * math.log(2.0 * lam)) * _half_turns(w) * cur
     return out if np.ndim(xi) else complex(out)
 
 
-_HERMITE_N_MAX = 192  # the last n whose H_n stays finite on [0, sqrt(2n + 1) + 3]
-
-
 def hermite_phi_residue(n: int, xi):
-    """Phi of the derivative-form oscillator route: H_n(xi), for n <= 192."""
-    if n > _HERMITE_N_MAX:  # before the recurrence runs
-        raise catalog.InvalidQuantumNumbers(
-            f"sho1d_hermite n={n} is past n={_HERMITE_N_MAX}, the last level whose H_n stays "
-            f"finite; the same level is sho1d_{('even', 'odd')[n % 2]} n={n // 2}")
+    """Phi of the derivative-form oscillator route: H_n(xi)."""
     with np.errstate(over="ignore", invalid="ignore"):  # phi_values names the point
         return hermite(n, xi)
 
@@ -452,13 +448,8 @@ def morse_continuum_phi(ode: CanonicalODE, exps: Exponents, xi):
     if ode.regime is not Regime.MORSE_CONTINUUM:
         raise MethodRegimeMismatch("ray route applies to the Morse continuum")
     pref = cmath.exp(1j * math.pi * (ode.beta - 1.0)) * gamma_complex(exps.alpha_minus)
-
-    def point(x):
-        if x <= 0:
-            raise ValueError("Morse xi must be positive")
-        return pref * math.exp(-0.5 * x) * tricomi_u(exps.alpha_minus, ode.beta, x)
-
-    return _each_point(xi, point)
+    return _each_point(
+        xi, lambda x: pref * math.exp(-0.5 * x) * tricomi_u(exps.alpha_minus, ode.beta, x))
 
 
 # ---------------------------------------------------------------------------

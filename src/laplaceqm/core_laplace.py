@@ -17,10 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class BranchPointEvaluation(ValueError):
-    """Integrand requested exactly at z = +-lambda with a divergent exponent."""
-
-
 class Regime(enum.Enum):
     BOUND = "bound"
     CONTINUUM = "continuum"
@@ -109,19 +105,11 @@ def log_terms(ode: CanonicalODE, exps: Exponents, z, phases=(0.0, 0.0)):
     (phi1, phi2) are winding angles accumulated from the reference point.
     Moduli are raised to the full complex exponents as
     m^(a+ib) = m^a * e^{i b ln m} on the positive real m.  The integrand is
-    e^{xi z + t_plus + t_minus} times the reference phase.  A divergent
-    factor at a branch point raises; no route evaluates there (R > 1).
+    e^{xi z + t_plus + t_minus} times the reference phase.  Its one caller,
+    the circle, keeps z on |z| = R > 1, clear of the branch points +-lambda.
     """
     phi1, phi2 = phases
     z = np.asarray(z, dtype=complex)
-    m2 = np.abs(z - ode.lam)
-    m1 = np.abs(z + ode.lam)
-    for mod, alpha in ((m2, exps.alpha_plus), (m1, exps.alpha_minus)):
-        if (alpha - 1.0).real < 0.0 and np.any(mod == 0.0):
-            raise BranchPointEvaluation(
-                "integrand evaluated at a branch point with divergent exponent"
-            )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_plus = (exps.alpha_plus - 1.0) * (np.log(m2) + 1j * phi2)
-        t_minus = (exps.alpha_minus - 1.0) * (np.log(m1) + 1j * phi1)
+    t_plus = (exps.alpha_plus - 1.0) * (np.log(np.abs(z - ode.lam)) + 1j * phi2)
+    t_minus = (exps.alpha_minus - 1.0) * (np.log(np.abs(z + ode.lam)) + 1j * phi1)
     return t_plus, t_minus

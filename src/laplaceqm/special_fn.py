@@ -93,6 +93,8 @@ def hermite(n: int, x):
     prev, cur = np.zeros_like(xs), np.ones_like(xs)
     for j in range(n):
         prev, cur = cur, 2.0 * xs * cur - 2.0 * j * prev
+        if not np.isfinite(cur).any():  # an overflow is final
+            break
     return cur if np.ndim(x) else float(cur)
 
 

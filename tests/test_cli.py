@@ -116,14 +116,31 @@ class TestWavefunctionCommand:
         for column in (f"{part}_phi", f"{part}_psi"):
             assert [row[header.index(column)] for row in rows] == [0.0] * 3
 
-    def test_hermite_level_past_its_series_exits_2_at_once(self, capsys):
+    @pytest.mark.parametrize("kind, n, grid, coord", [
+        ("sho1d_hermite", 10_000, "-1,1,3", "-1"), ("coulomb3d", 10**6, "0,10,5", "0")],
+        ids=["sho1d_hermite", "coulomb3d"])
+    def test_level_past_overflow_exits_3_at_once(self, capsys, kind, n, grid, coord):
+        # the recurrence overflows at every point within a few hundred steps
+        # and stops there; the exit-3 message is the one report
         start = time.perf_counter()
-        code, out, err = run(capsys, "wavefunction", "--kind", "sho1d_hermite",
-                             "--param", "n=10000", "--grid=-1,1,3")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "wavefunction", "--kind", kind,
+                                 "--param", f"n={n}", f"--grid={grid}")
         assert time.perf_counter() - start < 1.0
-        assert (code, out) == (2, "")
-        assert err.startswith("error: sho1d_hermite n=10000 is past n=192")
-        assert "sho1d_even n=5000" in err
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: evaluation failed at point 0 (coordinate={coord})")
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+    def test_hermite_level_finite_on_its_grid_prints(self, capsys):
+        # H_194 overflows past its turning point, but not on [-1, 1]
+        code, out, _ = run(capsys, "wavefunction", "--kind", "sho1d_hermite",
+                           "--param", "n=194", "--grid=-1,1,3")
+        header, rows, _ = read_csv(out)
+        assert code == 0
+        phi = np.array([row[header.index("re_phi")] for row in rows])
+        assert np.all(np.isfinite(phi)) and phi[0] == pytest.approx(-1.478487036064e209)
 
     def test_bound_label_sets_energy_scale(self, capsys):
         # coulomb3d n=2: kappa = 1/2, so xi = r/2
@@ -565,7 +582,12 @@ class TestConfigHandling:
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert err.startswith(f"error: {argv[0]} does not use {option}")
+        if argv[0] == "wavefunction" and option == "--radius":
+            # the library rejects a radius that no circle reads
+            assert err.startswith("error: the real_integral route for coulomb3d_cont "
+                                  "reads no circle radius")
+        else:
+            assert err.startswith(f"error: {argv[0]} does not use {option}")
 
     @pytest.mark.parametrize("argv", [
         ("validate", "--kind", "free3d", "--param", "E=1", "--grid", "0.5,10,4",
@@ -664,6 +686,25 @@ class TestConfigHandling:
             with pytest.raises(ConfigError, match="finite"):
                 _parse_grid(text)
         assert _parse_grid("0.5,8,31") == (0.5, 8.0, 31)
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (("spectrum", "--kind", "coulomb3d", "--param", "mu=-1"), 2,
+         "mu must be positive and finite"),
+        (("spectrum", "--kind", "coulomb3d", "--param", "l=-1"), 2, "l must be >= 0"),
+        (("spectrum", "--kind", "coulomb3d", "--param", "n_max"), 2,
+         "--param needs k=v, got 'n_max'"),
+        (("spectrum", "--kind", "coulomb3d", "--param", "n_max=abc"), 2,
+         "bad value for n_max: 'abc'"),
+        (("validate", "--kind", "coulomb3d_cont", "--grid", "0.5,2,3"), 2,
+         "validate needs --param E=<energy>"),
+        pytest.param(("validate", "--kind", "coulomb3d_cont", "--param", "E=1e-6",
+                      "--grid", "0.5,2,3"), 3, "method real_integral failed at every grid point",
+                     marks=pytest.mark.filterwarnings(
+                         "ignore::laplaceqm.contour_eval.PrecisionLoss")),
+    ], ids=["negative_mu", "negative_l", "param_without_value", "non_integer_n_max",
+            "validate_without_E", "route_fails_everywhere"])
+    def test_exit_path_names_its_cause(self, capsys, argv, code, message):
+        assert run(capsys, *argv) == (code, "", f"error: {message}\n")
 
     def test_argparse_exits_are_returned(self, capsys):
         assert main([]) == 2  # no subcommand

@@ -36,7 +36,6 @@ from laplaceqm.contour_eval import (
 )
 from laplaceqm.core_laplace import default_phase_convention, exponents
 from laplaceqm.potential_catalog import (
-    InvalidQuantumNumbers,
     Kind,
     ProblemSpec,
     canonicalize,
@@ -241,23 +240,23 @@ class TestBoundResidue:
 
     def test_hermite_route_holds_to_its_last_level_and_stops_past_it(self):
         # the recurrence reads 1.0e-14 of max|H_n e^{-xi^2/2}| on
-        # [0, sqrt(2n+1) + 3] at n = 192 against mpmath
+        # [0, sqrt(2n+1) + 3] at n = 192 against mpmath; 192 is the last n
+        # whose H_n stays finite there
         mp = pytest.importorskip("mpmath")
-        n = ce._HERMITE_N_MAX
-        for level in (45, 100, 170, n):
+        for level in (45, 100, 170, 192):
             xi = np.linspace(0.0, math.sqrt(2 * level + 1) + 3.0, 201)
             with mp.workdps(50):
                 want = np.array([float(mp.hermite(level, mp.mpf(x))
                                        * mp.exp(-mp.mpf(x) ** 2 / 2)) for x in xi])
             got = hermite_phi_residue(level, xi) * np.exp(-0.5 * xi * xi)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), level
-        # one level past the bound, H_n overflows 3 past its turning point
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert not math.isfinite(hermite(n + 1, math.sqrt(2 * n + 3) + 3.0))
-        for past, parity in ((n + 1, "odd"), (10_000, "even")):
-            with pytest.raises(InvalidQuantumNumbers, match=(
-                    f"sho1d_hermite n={past} is past n={n}, .* sho1d_{parity} n={past // 2}$")):
-                hermite_phi_residue(past, xi)
+        # one level past it, H_n overflows 3 past its turning point; the
+        # finiteness check names the first point that overflowed
+        xi = np.linspace(0.0, math.sqrt(2 * 193 + 1) + 3.0, 201)
+        with pytest.raises(FloatingPointError, match="residue route gave") as info:
+            phi_values(ProblemSpec(kind=Kind.SHO1D_HERMITE), 193.5, xi, Method.RESIDUE)
+        assert 0 < info.value.point < xi.size
+        assert math.isfinite(hermite(193, xi[info.value.point - 1]))
 
 
 class TestRealIntegral:

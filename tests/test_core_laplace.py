@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from laplaceqm.core_laplace import (
-    BranchPointEvaluation,
     CanonicalODE,
     Exponents,
     Regime,
@@ -246,13 +245,6 @@ class TestIntegrand:
         b = integrand(ode, exps, conv, 1.0, z,
                       (phi1 + 2 * math.pi, phi2 + 2 * math.pi))
         assert b == pytest.approx(a, rel=1e-11)
-
-    def test_branch_point_divergent_exponent_raises(self):
-        # Re(a+) = 1/2 here, so (a+ - 1) has negative real part at z = lambda
-        ode = continuum_ode(1.0, 0.5)
-        exps = exponents(ode)
-        with pytest.raises(BranchPointEvaluation):
-            log_terms(ode, exps, ode.lam, (0.0, 0.0))
 
     def test_exponents_frozen(self):
         with pytest.raises(FrozenInstanceError):

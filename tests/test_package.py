@@ -19,7 +19,6 @@ ENTRY_POINTS = [
 
 # exceptions raised and warnings issued
 EXCEPTIONS = [
-    "BranchPointEvaluation",
     "DomainError",
     "InvalidQuantumNumbers",
     "MethodRegimeMismatch",
