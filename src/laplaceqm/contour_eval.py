@@ -141,6 +141,13 @@ def _half_turns(w: float) -> complex:
     return cmath.exp(1j * math.pi * w)
 
 
+# a w_j past this is scaled down by it; 2^600 leaves room for any one step
+_RESIDUE_RESCALE_BITS = 600
+_RESIDUE_RESCALE = 2.0**_RESIDUE_RESCALE_BITS
+# a w_j past 2^16384, the 80-bit exponent range, has overflowed
+_RESIDUE_SCALE_MAX = 16384
+
+
 def bound_phi_residue(ode: CanonicalODE, N: int, xi):
     """Phi from the order-N residue at z = -lambda.
 
@@ -151,7 +158,12 @@ def bound_phi_residue(ode: CanonicalODE, N: int, xi):
     (a - j - x) w_j - x w_{j-1}, w_0 = 1, so Phi = 2 pi i (-2 lambda)^(beta-1)
     e^{-x/2} w_N, with (-2 lambda)^w = (2 lambda)^w e^{i pi w}.  Each step
     multiplies w_j by e^{-x/(2N)} and w_{j-1} by its square, spreading
-    e^{-x/2}; w_j itself overflows near xi = 0 past N ~ 1000.
+    e^{-x/2}.  Near xi = 0, w_j ~ C(alpha_plus - 1, j) outgrows a double
+    long before w_N does, so a point whose w_j passes 2^600 has w_j and
+    w_{j-1} scaled by 2^-600, exactly, and by 2^600 again once both fall
+    below 2^-600; the scale is put back once at the end with ldexp.  A w_j
+    past 2^16384, the 80-bit exponent range, counts as overflowed, so a level
+    far past it fails within a few thousand steps instead of running all N.
     """
     exps = exponents(ode)
     _check_order("-alpha_minus", -exps.alpha_minus, N)
@@ -160,13 +172,25 @@ def bound_phi_residue(ode: CanonicalODE, N: int, xi):
     x = 2.0 * lam * np.asarray(xi, dtype=float)
     damp = np.exp(-0.5 * x / max(N, 1))
     prev, cur = np.zeros_like(x), damp if N == 0 else np.ones_like(x)
+    scale = np.zeros(x.shape, dtype=int)  # cur stands for cur * 2^scale
     w = ode.beta.real - 1.0
     with np.errstate(over="ignore", invalid="ignore"):  # phi_values names the point
         for j in range(N):
             prev, cur = cur, ((a - j - x) * damp * cur - x * damp * damp * prev) / (j + 1)
-            if not np.isfinite(cur).any():  # an overflow is final
+            size = np.abs(cur)
+            shift = np.where(size > _RESIDUE_RESCALE, _RESIDUE_RESCALE_BITS, 0)
+            if scale.any():  # scaled points whose w_j and w_{j-1} shrank are scaled back up
+                small = (scale > 0) & (size < 1.0 / _RESIDUE_RESCALE) & (
+                    np.abs(prev) < 1.0 / _RESIDUE_RESCALE)
+                shift -= np.where(small, _RESIDUE_RESCALE_BITS, 0)
+            if shift.any():
+                scale += shift
+                prev, cur = (np.where(scale > _RESIDUE_SCALE_MAX, math.inf, np.ldexp(v, -shift))
+                             for v in (prev, cur))
+            elif not np.isfinite(cur).any():  # an overflow is final
                 break
-        out = 2j * math.pi * math.exp(w * math.log(2.0 * lam)) * _half_turns(w) * cur
+        out = (2j * math.pi * math.exp(w * math.log(2.0 * lam)) * _half_turns(w)
+               * np.ldexp(cur, scale))
     return out if np.ndim(xi) else complex(out)
 
 
@@ -443,13 +467,15 @@ def morse_continuum_phi(ode: CanonicalODE, exps: Exponents, xi):
     Re(alpha_minus) may be nonpositive: past its Kummer crossover
     tricomi_u sums U's Hankel loop, which holds for any alpha_minus, and
     sizes its rule by convergence, so the route takes no tolerance.  The
-    factor before e^{-xi/2} is computed once per call.
+    factor before e^{-xi/2} is computed once per call, and tricomi_u is
+    called once with the whole grid, so U's Gamma factors are built once and
+    its Kummer series are summed for every point at once.
     """
     if ode.regime is not Regime.MORSE_CONTINUUM:
         raise MethodRegimeMismatch("ray route applies to the Morse continuum")
     pref = cmath.exp(1j * math.pi * (ode.beta - 1.0)) * gamma_complex(exps.alpha_minus)
-    return _each_point(
-        xi, lambda x: pref * math.exp(-0.5 * x) * tricomi_u(exps.alpha_minus, ode.beta, x))
+    u = iter(np.ravel(tricomi_u(exps.alpha_minus, ode.beta, xi)).tolist())
+    return _each_point(xi, lambda x: pref * math.exp(-0.5 * x) * next(u))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ Hermite polynomials by their three-term recurrence, a Lanczos complex
 Gamma, the confluent hypergeometric pair M and U, and the quadrature engine
 that Tricomi U and the continuum routes share: nested exp-sinh node tables,
 Gauss-Legendre panels, a stop at the first two estimates that agree, and a
-PrecisionLoss warning from the measured rounding error.
+PrecisionLoss warning from the measured rounding error.  M and U take
+arrays: M sums its series for every point at once, bit for bit as one
+point at a time, and U builds its Gamma factors once per call.
 """
 
 from __future__ import annotations
@@ -36,10 +38,6 @@ class QuadratureFailure(ArithmeticError):
 
 class PrecisionLoss(RuntimeWarning):
     """Result returned, but cancellation has likely eaten the tolerance."""
-
-
-class _Cancelled(ArithmeticError):
-    """The two terms of U's connection formula cancel past _U_CANCELLATION."""
 
 
 # ---------------------------------------------------------------------------
@@ -103,18 +101,26 @@ def hermite(n: int, x):
 
 _MAX_KUMMER_TERMS = 1000
 _KUMMER_STOP = 1e-15  # a term this small relative to the sum is quiet
+_KUMMER_BLOCK = 16  # terms an array call makes per point before its stop rule runs
 _EPS_X = float(np.finfo(np.longdouble).eps)
 
 
-def kummer_m(a, b, z) -> complex:
-    """Kummer's M(a, b, z) by direct series.
+def kummer_m(a, b, z):
+    """Kummer's M(a, b, z) by direct series; arrays give M at every point at once.
 
     Accumulates in 80-bit scalars: for oscillatory z the partial terms reach
     ~e^{|z|} while the sum stays O(1), and the extra mantissa bits push the
     cancellation wall out by roughly a factor e^3 in |z|.  It stops after
     three terms in a row below 1e-15 of the sum, and warns PrecisionLoss when
     eps_x * sum|term| exceeds 1e-6 of |M|, eps_x the 80-bit epsilon.
+
+    a, b and z broadcast together; any array among them gives a complex
+    array, equal bit for bit to the scalar calls one point at a time, and
+    warning point by point as they would.  If a point does not settle, it
+    raises SeriesDivergence for the first such point, before any warning.
     """
+    if np.ndim(a) or np.ndim(b) or np.ndim(z):
+        return _kummer_grid(a, b, z)
     b = complex(b)
     if b.imag == 0.0 and b.real <= 0.0 and b.real == round(b.real):
         raise InvalidB(f"M undefined for b={b.real:g}")
@@ -144,6 +150,62 @@ def kummer_m(a, b, z) -> complex:
     raise SeriesDivergence(
         f"Kummer series not settled after {_MAX_KUMMER_TERMS} terms (|z|={abs(z):.3g})"
     )
+
+
+def _kummer_grid(a, b, z):
+    """kummer_m at every point of the broadcast a, b and z, as a complex array."""
+    shape = np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(z))
+    a, b, z = (np.broadcast_to(np.asarray(v, dtype=complex), shape).ravel() for v in (a, b, z))
+    pole = np.flatnonzero((b.imag == 0.0) & (b.real <= 0.0) & (b.real == np.round(b.real)))
+    if pole.size:
+        raise InvalidB(f"M undefined for b={b[pole[0]].real:g}")
+    total, mass, settled = _kummer_block(*(v.astype(np.clongdouble) for v in (a, b, z)))
+    if not settled.all():
+        raise SeriesDivergence(f"Kummer series not settled after {_MAX_KUMMER_TERMS} terms "
+                               f"(|z|={abs(z[settled.argmin()]):.3g})")
+    for i in np.flatnonzero(_EPS_X * mass > _PRECISION_LOSS * np.abs(total)).tolist():
+        _warn_inexact(f"kummer_m at a = {a[i]:.6g}, b = {b[i]:.6g}, z = {z[i]:.6g}",
+                      total[i], mass[i], eps=_EPS_X)
+    return total.astype(complex).reshape(shape)
+
+
+def _kummer_block(a, b, z):
+    """(total, mass, settled) of M's series at each point of the clongdouble vectors a, b, z.
+
+    The scalar loop of kummer_m, run for the points still summing, a block
+    of _KUMMER_BLOCK terms at a time: each term is made by the same
+    statement, and np.add.accumulate sums totals and masses in order, so
+    every point's sums are the scalar loop's bit for bit.  A point leaves
+    at its third quiet term in a row; one that never does is not settled.
+    """
+    total, mass = np.ones(z.size, np.clongdouble), np.ones(z.size, np.longdouble)
+    settled = np.zeros(z.size, bool)
+    live = np.arange(z.size)
+    term, quiet = total.copy(), np.zeros(z.size, int)  # quiet terms in a row, per live point
+    for start in range(0, _MAX_KUMMER_TERMS, _KUMMER_BLOCK):
+        js = np.arange(start, min(start + _KUMMER_BLOCK, _MAX_KUMMER_TERMS))
+        a_j, b_j = a[live] + js[:, None], b[live] + js[:, None]
+        z_live = z[live]
+        terms = np.empty(a_j.shape, np.clongdouble)
+        for r, j in enumerate(js.tolist()):
+            term = term * a_j[r] / b_j[r] * z_live / (j + 1)
+            terms[r] = term
+        sizes = np.abs(terms)
+        totals = np.add.accumulate(np.vstack([total[live], terms]), axis=0)[1:]
+        masses = np.add.accumulate(np.vstack([mass[live], sizes]), axis=0)[1:]
+        # rows -2 and -1 carry the quiet run the block starts with
+        quiet_rows = np.vstack([quiet >= 2, quiet >= 1, sizes <= _KUMMER_STOP * np.abs(totals)])
+        stops = quiet_rows[2:] & quiet_rows[1:-1] & quiet_rows[:-2]
+        done = stops.any(axis=0)
+        row = np.where(done, stops.argmax(axis=0), js.size - 1)
+        col = np.arange(live.size)
+        total[live], mass[live] = totals[row, col], masses[row, col]
+        settled[live[done]] = True
+        quiet = np.where(quiet_rows[-1], np.where(quiet_rows[-2], 2, 1), 0)[~done]
+        live, term = live[~done], term[~done]
+        if not live.size:
+            break
+    return total, mass, settled
 
 
 # ---------------------------------------------------------------------------
@@ -300,30 +362,46 @@ def _adaptive_gauss(f, lo: float, hi: float, rel_tol: float, max_panels: int = 6
     return total
 
 
-def _tricomi_u_kummer(a: complex, b: complex, x: float) -> complex:
-    """U through the two-M connection formula, summed in extended precision.
+def _tricomi_u_kummer(a: complex, b: complex, xs) -> list:
+    """U through the two-M connection formula at each x of xs, summed in extended precision.
 
     U = G(1-b)/G(a-b+1) M(a,b,x) + G(b-1)/G(a) x^(1-b) M(a-b+1,2-b,x).
     Both M values grow like e^x while U may stay O(x^-Re(a)), so this form
-    is only trustworthy for moderate x; the caller picks the crossover.
-    Where the two terms cancel, eps * (|t1| + |t2|) above _U_CANCELLATION of
-    |t1 + t2|, it raises _Cancelled and the caller takes U's integrals.
+    is only trustworthy for moderate x; the caller picks the crossover.  The
+    two Gamma ratios are built once a call, and one kummer_m call sums both
+    series at every x, the pairs interleaved so its warnings come point by
+    point.  A point whose two terms cancel, eps * (|t1| + |t2|) above
+    _U_CANCELLATION of |t1 + t2|, reads None, and the caller takes U's loop
+    there.  If a series does not settle, every x is summed alone, and a point
+    whose series does not settle reads None.
     """
-    t1 = gamma_complex(1.0 - b) / gamma_complex(a - b + 1.0) * kummer_m(a, b, complex(x))
+    ratio1 = gamma_complex(1.0 - b) / gamma_complex(a - b + 1.0)
     try:
         inv_gamma_a = 1.0 / gamma_complex(a)
     except PoleError:
         inv_gamma_a = 0.0  # 1/Gamma vanishes at the poles, the term drops out
-    t2 = (
-        gamma_complex(b - 1.0)
-        * inv_gamma_a
-        * cmath.exp((1.0 - b) * math.log(x))
-        * kummer_m(a - b + 1.0, 2.0 - b, complex(x))
-    )
-    total = t1 + t2
-    if _EPS * (abs(t1) + abs(t2)) > _U_CANCELLATION * abs(total):
-        raise _Cancelled(f"U's two M terms cancel at a = {a:.6g}, b = {b:.6g}, x = {x:.6g}")
-    return total
+    ratio2 = gamma_complex(b - 1.0) * inv_gamma_a
+
+    def connect(x, m1, m2):
+        t1 = ratio1 * m1
+        t2 = ratio2 * cmath.exp((1.0 - b) * math.log(x)) * m2
+        total = t1 + t2
+        return None if _EPS * (abs(t1) + abs(t2)) > _U_CANCELLATION * abs(total) else total
+
+    def alone(x):
+        z = complex(x)
+        try:  # a first series that does not settle skips the second
+            return connect(x, kummer_m(a, b, z), kummer_m(a - b + 1.0, 2.0 - b, z))
+        except SeriesDivergence:
+            return None
+
+    xs = np.asarray(xs, dtype=float)
+    try:
+        m = kummer_m(np.tile([a, a - b + 1.0], xs.size), np.tile([b, 2.0 - b], xs.size),
+                     np.repeat(xs, 2)).tolist()
+    except SeriesDivergence:
+        return [alone(x) for x in xs.tolist()]
+    return [connect(x, m1, m2) for x, m1, m2 in zip(xs.tolist(), m[0::2], m[1::2])]
 
 
 def _u_ray_sum(a: complex, b: complex, x: float, r: float, level: int):
@@ -354,12 +432,34 @@ def _u_circle_sum(a: complex, b: complex, x: float, r: float, panels: int):
     return np.sum(summand), np.sum(np.abs(summand))
 
 
-def tricomi_u(a, b, x) -> complex:
-    """Tricomi's U(a, b, x) for real x > 0.
+def _u_loop_factors(a: complex):
+    """(e^{-i pi a} Gamma(1-a) / (2 pi i), e^{2 pi i a} - 1): U's loop factors that x leaves."""
+    pref = cmath.exp(-1j * math.pi * a) * gamma_complex(1.0 - a) / (2j * math.pi)
+    return pref, cmath.exp(2j * math.pi * a) - 1.0
+
+
+def _u_loop(a: complex, b: complex, x: float, pref: complex, weight: complex) -> complex:
+    """U(a, b, x) by its Hankel loop, given _u_loop_factors(a) (see tricomi_u)."""
+    if not x > 0.0:
+        raise ValueError("x must be positive")
+    r = min(0.5, abs(a - 1.0) / x)
+    line, line_mass, line_ok = _refine(
+        (_u_ray_sum(a, b, x, r, k) for k in range(_HALVINGS + 1)), _RAY_H0)
+    circle, circle_mass, circle_ok = _refine(
+        _u_circle_sum(a, b, x, r, 2**k) for k in range(_HALVINGS + 1))
+    total, mass = weight * line + circle, abs(weight) * line_mass + circle_mass
+    _warn_inexact(f"tricomi_u at a = {a:.6g}, b = {b:.6g}, x = {x:.6g}", total, mass,
+                  line_ok and circle_ok)
+    return pref * total
+
+
+def tricomi_u(a, b, x):
+    """Tricomi's U(a, b, x) for real x > 0; an array of x gives U at each x.
 
     Up to the crossover x = 13 + 1.5 |Im(b - a)| (and b not near an integer)
-    the two-M connection formula is used, M summed in extended precision.
-    Past it, or where that raises, U's Hankel loop (DLMF 13.4.14)
+    the two-M connection formula is used, M summed in extended precision,
+    for all such x of the array at once (see _tricomi_u_kummer).
+    Past it, or where that hands a point over, U's Hankel loop (DLMF 13.4.14)
     U = e^{-i pi a} Gamma(1-a) / (2 pi i) int_inf^(0+) f dt, with
     f(t) = e^{-x t} t^(a-1) (1+t)^(b-a-1), runs on the quadrature engine: the
     ray t = r + u / x, weighted by e^{2 pi i a} - 1, plus the circle |t| = r,
@@ -369,27 +469,31 @@ def tricomi_u(a, b, x) -> complex:
     and the circle doubles its panels until two estimates agree;
     PrecisionLoss is warned when either does not, or when the rounding error
     eps * sum|summand| exceeds 1e-6 of the sum (small x with Re a << 0, where
-    the circle is held at r = 1/2, far from the saddle point).
+    the circle is held at r = 1/2, far from the saddle point).  Each point
+    of an array has the value a call with that x alone gives; the connection
+    formula's warnings come first, then the loop's, each in point order, and
+    the first point that raises stops the loop, its index in ``.point``.
     """
-    if not x > 0.0:
-        raise ValueError("x must be positive")
-    a, b, x = complex(a), complex(b), float(x)
+    a, b = complex(a), complex(b)
+    xs = np.asarray(x, dtype=float).ravel()
     crossover = 13.0 + 1.5 * abs((b - a).imag)
     b_near_pole = abs(b - complex(round(b.real))) < 0.05
-    if x <= crossover and not b_near_pole:
+    kummer = [None] * xs.size
+    branch = [] if b_near_pole else np.flatnonzero((xs > 0.0) & (xs <= crossover)).tolist()
+    if branch:
         try:
-            return _tricomi_u_kummer(a, b, x)
-        except (PoleError, SeriesDivergence, _Cancelled):
-            pass  # fall through to the integral
-
-    pref = cmath.exp(-1j * math.pi * a) * gamma_complex(1.0 - a) / (2j * math.pi)
-    r = min(0.5, abs(a - 1.0) / x)
-    line, line_mass, line_ok = _refine(
-        (_u_ray_sum(a, b, x, r, k) for k in range(_HALVINGS + 1)), _RAY_H0)
-    circle, circle_mass, circle_ok = _refine(
-        _u_circle_sum(a, b, x, r, 2**k) for k in range(_HALVINGS + 1))
-    weight = cmath.exp(2j * math.pi * a) - 1.0
-    total, mass = weight * line + circle, abs(weight) * line_mass + circle_mass
-    _warn_inexact(f"tricomi_u at a = {a:.6g}, b = {b:.6g}, x = {x:.6g}", total, mass,
-                  line_ok and circle_ok)
-    return pref * total
+            for i, value in zip(branch, _tricomi_u_kummer(a, b, xs[branch])):
+                kummer[i] = value
+        except PoleError:
+            pass  # every point takes the loop
+    values, loop = np.empty(xs.size, dtype=complex), None
+    for i, (x_i, value) in enumerate(zip(xs.tolist(), kummer)):
+        try:
+            if value is None:
+                loop = loop or _u_loop_factors(a)  # once a call, at the first loop point
+                value = _u_loop(a, b, x_i, *loop)
+            values[i] = value
+        except Exception as exc:
+            exc.point = i
+            raise
+    return values.reshape(np.shape(x)) if np.ndim(x) else complex(values[0])

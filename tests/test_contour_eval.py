@@ -41,6 +41,7 @@ from laplaceqm.potential_catalog import (
     canonicalize,
     residue_lattice_energy,
 )
+from laplaceqm import special_fn
 from laplaceqm.special_fn import SeriesDivergence, hermite
 
 from laguerre_closed_form import laguerre
@@ -215,6 +216,22 @@ class TestBoundResidue:
                 * mp.laguerre(big_n, b, 2 * lam * mp.mpf(x))) for x in xi])
         got = bound_phi_residue(ode, big_n, xi)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    # 40-digit mpmath values of 2 pi i e^{i pi b} (2 lambda)^b e^{-lambda xi}
+    # L_N^(b)(2 lambda xi) at xi = 0 and 0.0049, where the intermediate
+    # w_j ~ C(alpha_+ - 1, j) leaves the double range although Phi does not
+    PAST_INTERMEDIATE_OVERFLOW = (
+        (Kind.COULOMB3D, 1020, (-12830.264397260715j, 816.3092445423036j)),
+        (Kind.COULOMB3D, 1499, (-18849.55592153876j, -857.8079860681997j)),
+        (Kind.SHO1D_EVEN, 1500, (0.09152149617737823, 0.059673389020085045)),
+    )
+
+    @pytest.mark.parametrize("kind,big_n,want", PAST_INTERMEDIATE_OVERFLOW)
+    def test_intermediate_overflow_near_zero_is_scaled_away(self, kind, big_n, want):
+        spec = ProblemSpec(kind=kind)
+        ode = canonicalize(spec, residue_lattice_energy(spec, big_n))
+        got = bound_phi_residue(ode, big_n, np.array([0.0, 0.0049]))
+        assert np.max(np.abs(got - np.array(want))) <= 2e-13 * np.max(np.abs(want))
 
     def test_off_lattice_energy_rejected(self):
         ode = canonicalize(ProblemSpec(kind=Kind.SHO1D_EVEN), 1.3)
@@ -759,6 +776,30 @@ class TestGridContract:
         spec = ProblemSpec(kind=Kind.COULOMB3D_CONT)
         phi_values(spec, 1.0, [0.5, 1.0, 2.0, 5.0], Method.REAL_INTEGRAL)
         assert len(calls) == 1
+
+
+    def test_morse_gammas_once_per_grid(self, monkeypatch):
+        # V0 = 1, E = 10: U's Kummer branch ends at x = 19.7, so both grids
+        # hold Kummer points and loop points; Gamma is called by the route
+        # and by tricomi_u, each by its own module's name
+        calls = []
+
+        def counted(z):
+            calls.append(z)
+            return gamma(z)
+
+        gamma = special_fn.gamma_complex
+        monkeypatch.setattr(special_fn, "gamma_complex", counted)
+        monkeypatch.setattr(ce, "gamma_complex", counted)
+        spec = ProblemSpec(kind=Kind.MORSE_CONT, morse_v0=1.0)
+        counts = []
+        for points in (3, 60):
+            calls.clear()
+            phi_values(spec, 10.0, np.linspace(1.0, 40.0, points), Method.MORSE_RAY)
+            counts.append(len(calls))
+        # Gamma(alpha_-), U's four Kummer Gammas and its loop's Gamma(1 - a),
+        # five of them by reflection, which calls Gamma once more
+        assert counts == [11, 11]
 
 
 class TestSampleWavefunction:

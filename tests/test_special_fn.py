@@ -9,12 +9,14 @@ high-precision literals.
 
 import math
 import cmath
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import laplaceqm.special_fn as special_fn
 from laplaceqm.special_fn import (
     InvalidB,
     PoleError,
@@ -22,13 +24,15 @@ from laplaceqm.special_fn import (
     QuadratureFailure,
     SeriesDivergence,
     _adaptive_gauss,
-    _Cancelled,
     _tricomi_u_kummer,
     gamma_complex,
     hermite,
     kummer_m,
     tricomi_u,
 )
+
+from laplaceqm.core_laplace import exponents
+from laplaceqm.potential_catalog import Kind, ProblemSpec, canonicalize
 
 from laguerre_closed_form import (
     laguerre,
@@ -249,6 +253,64 @@ class TestKummerM:
             kummer_m(1.0, 1.5, 2500.0)
 
 
+def _exponents(kind, energy, **params):
+    """(alpha_minus, beta) of a catalog kind at an energy."""
+    ode = canonicalize(ProblemSpec(kind=kind, **params), energy)
+    return exponents(ode).alpha_minus, ode.beta
+
+
+def _grid_cases():
+    """About 200 (a, b, z) on which the array kummer_m must equal its scalar calls.
+
+    U's two series for the Morse continuum on its Kummer branch, the series
+    route's (alpha_-, beta, 2 i xi) up to xi = 20, some of which warn, and
+    real z of either sign.
+    """
+    cases = []
+    for v0, energy in ((1.0, 10.0), (40.0, 1.0), (5.0, 0.3)):
+        a, b = _exponents(Kind.MORSE_CONT, energy, morse_v0=v0)
+        for x in np.linspace(0.1, 13.0, 12).tolist():
+            cases += [(a, b, complex(x)), (a - b + 1.0, 2.0 - b, complex(x))]
+    for kind, energy in ((Kind.COULOMB3D_CONT, 0.5), (Kind.COULOMB3D_CONT, 4.0),
+                         (Kind.FREE2D, 1.0)):
+        a, b = _exponents(kind, energy)
+        cases += [(a, b, 2j * xi) for xi in np.linspace(0.0, 20.0, 21).tolist()]
+    for a, b in ((0.3, 0.7), (-2.5 + 1j, 1.5), (1 + 0.5j, 0.5)):
+        cases += [(a, b, complex(z)) for z in np.linspace(-10.0, 30.0, 20).tolist()]
+    return cases
+
+
+class TestKummerGrid:
+    def test_array_equals_scalar_calls_bit_for_bit(self):
+        cases = _grid_cases()
+        a, b, z = (np.array(column) for column in zip(*cases))
+        with warnings.catch_warnings(record=True) as one_by_one:
+            warnings.simplefilter("always")
+            want = [kummer_m(*case) for case in cases]
+        with warnings.catch_warnings(record=True) as at_once:
+            warnings.simplefilter("always")
+            got = kummer_m(a, b, z)
+        assert len(cases) >= 190
+        assert got.tolist() == want
+        assert one_by_one, "no case warns"
+        assert ([(w.category, str(w.message)) for w in at_once]
+                == [(w.category, str(w.message)) for w in one_by_one])
+
+    def test_broadcast_shape(self):
+        z = np.linspace(0.0, 3.0, 6).reshape(2, 3)
+        got = kummer_m(0.5, 1.5, z)
+        assert got.shape == (2, 3)
+        assert got[1, 2] == kummer_m(0.5, 1.5, 3.0)
+
+    def test_unsettled_point_raises(self):
+        with pytest.raises(SeriesDivergence, match=r"\|z\|=2\.5e\+03"):
+            kummer_m(1.0, 1.5, np.array([1.0, 2500.0, 2.0]))
+
+    def test_invalid_b_raises(self):
+        with pytest.raises(InvalidB, match="b=-2"):
+            kummer_m(0.5, np.array([1.5, -2.0]), 1.0)
+
+
 class TestTricomiU:
     def test_frozen_values(self):
         cases = [
@@ -300,8 +362,7 @@ class TestTricomiU:
         # 1.3e-2 (b = 0.5) and 4.2e-3: their sum was off by 0.20 and 5.5e-2
         mpmath = pytest.importorskip("mpmath")
         a, x = 2.5 + 6j, 12.5
-        with pytest.raises(_Cancelled):
-            _tricomi_u_kummer(a, b, x)
+        assert _tricomi_u_kummer(a, b, [x]) == [None]
         with mpmath.workdps(40):
             want = complex(mpmath.hyperu(a, b, x))
         assert abs(tricomi_u(a, b, x) - want) <= 1e-13 * abs(want)
@@ -311,10 +372,39 @@ class TestTricomiU:
         mpmath = pytest.importorskip("mpmath")
         a, b, x = 1 + 0.5j, 0.5, 3.0
         got = tricomi_u(a, b, x)
-        assert got == _tricomi_u_kummer(a, b, x)
+        assert [got] == _tricomi_u_kummer(a, b, [x])
         with mpmath.workdps(40):
             want = complex(mpmath.hyperu(a, b, x))
         assert abs(got - want) <= 1e-11 * abs(want)
+
+    def test_mixed_grid_equals_its_points_alone(self):
+        # crossover 22: x = 2 and 0.7 keep the Kummer branch, x = 12.5
+        # cancels there and takes the loop, x = 30 is past the crossover
+        a, b = 2.5 + 6j, 0.5
+        grid = [2.0, 12.5, 30.0, 0.7]
+        assert [v is None for v in _tricomi_u_kummer(a, b, [2.0, 12.5, 0.7])] == [
+            False, True, False]
+        assert tricomi_u(a, b, np.array(grid)).tolist() == [tricomi_u(a, b, x) for x in grid]
+
+    def test_unsettled_point_alone_takes_the_loop(self, monkeypatch):
+        # with a 40-term cap, M(1 + i/2, 1/2, x) settles at x = 3 but not at
+        # x = 8, so each point is summed alone and only x = 8 takes the loop
+        monkeypatch.setattr(special_fn, "_MAX_KUMMER_TERMS", 40)
+        a, b = 1 + 0.5j, 0.5
+        kummer = _tricomi_u_kummer(a, b, [3.0, 8.0])
+        assert kummer[1] is None and kummer[0] == _tricomi_u_kummer(a, b, [3.0])[0]
+        assert tricomi_u(a, b, [3.0, 8.0]).tolist() == [tricomi_u(a, b, 3.0),
+                                                       tricomi_u(a, b, 8.0)]
+
+    def test_failing_point_is_named(self):
+        # a = 2 is a pole of the loop's Gamma(1 - a): the Kummer point
+        # x = 1 answers, the loop point x = 40 raises
+        with pytest.raises(PoleError) as info:
+            tricomi_u(2.0, 0.5, [1.0, 40.0])
+        assert info.value.point == 1
+        with pytest.raises(ValueError, match="x must be positive") as info:
+            tricomi_u(0.5, 1.5, [1.0, 2.0, -1.0])
+        assert info.value.point == 2
 
     def test_cancelled_loop_warns(self):
         # b = 1 sends small x past the Kummer form; the loop's circle is held
