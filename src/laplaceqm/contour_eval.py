@@ -464,9 +464,13 @@ def morse_continuum_phi(ode: CanonicalODE, exps: Exponents, xi):
 
     Collapses to (-1)^(beta-1) Gamma(alpha_minus) e^{-xi/2}
     U(alpha_minus, beta, xi) with (-1)^(beta-1) = e^{i pi (beta-1)}.
-    Re(alpha_minus) may be nonpositive: past its Kummer crossover
-    tricomi_u sums U's Hankel loop, which holds for any alpha_minus, and
-    sizes its rule by convergence, so the route takes no tolerance.  The
+    Re(alpha_minus) may be far below 0 (a deep well): past its Kummer
+    crossover tricomi_u sums this same ray at alpha_minus + m, m steps up
+    to Re > 3 + 2 k-bar, and recurs down to alpha_minus, sizing its rule by
+    convergence, so the route takes no tolerance.  Where a Gamma factor
+    leaves the double range (Gamma(alpha_minus) past about delta = 141 or
+    k-bar = 226, U's ray past about k-bar = 69), gamma_complex raises an
+    OverflowError naming its argument.  The
     factor before e^{-xi/2} is computed once per call, and tricomi_u is
     called once with the whole grid, so U's Gamma factors are built once and
     its Kummer series are summed for every point at once.

@@ -1,18 +1,22 @@
 """Special functions backing the contour solver.
 
 Hermite polynomials by their three-term recurrence, a Lanczos complex
-Gamma, the confluent hypergeometric pair M and U, and the quadrature engine
-that Tricomi U and the continuum routes share: nested exp-sinh node tables,
-Gauss-Legendre panels, a stop at the first two estimates that agree, and a
-PrecisionLoss warning from the measured rounding error.  M and U take
-arrays: M sums its series for every point at once, bit for bit as one
-point at a time, and U builds its Gamma factors once per call.
+Gamma that names z when it leaves the double range, the confluent
+hypergeometric pair M and U, and the quadrature engine that Tricomi U and
+the continuum routes share: nested exp-sinh node tables, Gauss-Legendre
+panels, a stop at the first two estimates that agree, and a PrecisionLoss
+warning from the measured rounding error.  U is the connection formula up
+to its crossover, and past it U's plain Laplace ray at a shifted a and a
+downward recurrence in a.  M and U take arrays: M sums its series for every
+point at once, bit for bit as one point at a time, and U builds its Gamma
+factors once per call.
 """
 
 from __future__ import annotations
 
 import cmath
 import heapq
+import itertools
 import math
 import warnings
 from functools import lru_cache
@@ -61,19 +65,31 @@ def gamma_complex(z) -> complex:
     """Gamma(z) for complex z via Lanczos (g=7, 9 terms) plus reflection.
 
     Relative accuracy is ~1e-12 for |z| <= 20, degrading smoothly outside.
+    Where Gamma or a factor of its form leaves the double range, it raises
+    OverflowError naming z and that range: about |Re z| < 141, and
+    |Im z| < 226 for Re z < 1/2 (the reflection's sin(pi z)), < 457 elsewhere.
     """
     z = complex(z)
     if z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real):
         raise PoleError(f"gamma pole at z={z.real:g}")
-    if z.real < 0.5:
-        # reflection keeps the Lanczos sum on the well-conditioned half-plane
-        return math.pi / (cmath.sin(math.pi * z) * gamma_complex(1.0 - z))
-    z -= 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * acc
+    try:
+        if z.real < 0.5:
+            # reflection keeps the Lanczos sum on the well-conditioned half-plane
+            value = math.pi / (cmath.sin(math.pi * z) * gamma_complex(1.0 - z))
+        else:
+            w = z - 1.0
+            acc = _LANCZOS[0]
+            for i in range(1, len(_LANCZOS)):
+                acc += _LANCZOS[i] / (w + i)
+            t = w + _LANCZOS_G + 0.5
+            value = math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * cmath.exp(-t) * acc
+        if value != 0.0 and cmath.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    raise OverflowError(
+        f"Gamma leaves the double range at z = {z:.6g}: its Lanczos form holds for about "
+        "|Re z| < 141, and |Im z| < 226 for Re z < 1/2, < 457 elsewhere")
 
 
 # ---------------------------------------------------------------------------
@@ -404,53 +420,36 @@ def _tricomi_u_kummer(a: complex, b: complex, xs) -> list:
     return [connect(x, m1, m2) for x, m1, m2 in zip(xs.tolist(), m[0::2], m[1::2])]
 
 
-def _u_ray_sum(a: complex, b: complex, x: float, r: float, level: int):
-    """(sum, sum of |summand|) of one level's new nodes on the ray t = r + u / x, arg t = 0.
+def _u_ray_sums(c: complex, b: complex, x: float, level: int, up: bool):
+    """[(sum, sum of |summand|)] of one level's new nodes of U's ray t = u / x, arg t = 0.
 
-    The summand is e^{-x t} t^(a-1) (1+t)^(b-a-1) dt/ds, taken as exp(log).
+    The summand at c is e^{-x t} t^(c-1) (1+t)^(b-c-1) dt/ds, taken as
+    exp(log); if up, the same nodes also give c + 1's, that times t / (1+t).
     """
     log_u, log_du = _RAY_LEVELS[level]
     log_x = math.log(x)
-    t = r + np.exp(log_u - log_x)
+    log_t = log_u - log_x
+    t = np.exp(log_t)
     with np.errstate(under="ignore"):
-        summand = np.exp(-x * t + (a - 1.0) * np.log(t) + (b - a - 1.0) * np.log1p(t)
+        summand = np.exp(-np.exp(log_u) + (c - 1.0) * log_t + (b - c - 1.0) * np.log1p(t)
                          + (log_du - log_x))
-    return np.sum(summand), np.sum(np.abs(summand))
+    summands = (summand, summand * (t / (1.0 + t))) if up else (summand,)
+    return [(np.sum(s), np.sum(np.abs(s))) for s in summands]
 
 
-def _u_circle_sum(a: complex, b: complex, x: float, r: float, panels: int):
-    """(sum, sum of |summand|) of Gauss-Legendre panels on t = r e^{i theta}, theta in [0, 2 pi].
+def _u_rays(c: complex, b: complex, x: float, up: bool, what: str) -> list:
+    """[int_0^inf e^{-x t} t^(c-1) (1+t)^(b-c-1) dt] at c and, if up, c + 1, warning about what.
 
-    The summand is i e^{-x t} t^a (1+t)^(b-a-1) d theta, log t = ln r + i theta.
+    Both integrals share each level's nodes, and each stops at its own first
+    two estimates that agree.
     """
-    y, w = _segment_panels(panels)
-    theta = math.pi * (1.0 + y)
-    t = r * np.exp(1j * theta)
-    with np.errstate(under="ignore"):
-        summand = (1j * math.pi) * w * np.exp(
-            -x * t + a * (math.log(r) + 1j * theta) + (b - a - 1.0) * np.log1p(t))
-    return np.sum(summand), np.sum(np.abs(summand))
-
-
-def _u_loop_factors(a: complex):
-    """(e^{-i pi a} Gamma(1-a) / (2 pi i), e^{2 pi i a} - 1): U's loop factors that x leaves."""
-    pref = cmath.exp(-1j * math.pi * a) * gamma_complex(1.0 - a) / (2j * math.pi)
-    return pref, cmath.exp(2j * math.pi * a) - 1.0
-
-
-def _u_loop(a: complex, b: complex, x: float, pref: complex, weight: complex) -> complex:
-    """U(a, b, x) by its Hankel loop, given _u_loop_factors(a) (see tricomi_u)."""
-    if not x > 0.0:
-        raise ValueError("x must be positive")
-    r = min(0.5, abs(a - 1.0) / x)
-    line, line_mass, line_ok = _refine(
-        (_u_ray_sum(a, b, x, r, k) for k in range(_HALVINGS + 1)), _RAY_H0)
-    circle, circle_mass, circle_ok = _refine(
-        _u_circle_sum(a, b, x, r, 2**k) for k in range(_HALVINGS + 1))
-    total, mass = weight * line + circle, abs(weight) * line_mass + circle_mass
-    _warn_inexact(f"tricomi_u at a = {a:.6g}, b = {b:.6g}, x = {x:.6g}", total, mass,
-                  line_ok and circle_ok)
-    return pref * total
+    streams = itertools.tee((_u_ray_sums(c, b, x, k, up) for k in range(_HALVINGS + 1)), 1 + up)
+    integrals = []
+    for j, levels in enumerate(streams):
+        total, mass, ok = _refine((sums[j] for sums in levels), _RAY_H0)
+        _warn_inexact(f"{what} (ray at c = {c + j:.6g})", total, mass, ok)
+        integrals.append(total)
+    return integrals
 
 
 def tricomi_u(a, b, x):
@@ -459,20 +458,21 @@ def tricomi_u(a, b, x):
     Up to the crossover x = 13 + 1.5 |Im(b - a)| (and b not near an integer)
     the two-M connection formula is used, M summed in extended precision,
     for all such x of the array at once (see _tricomi_u_kummer).
-    Past it, or where that hands a point over, U's Hankel loop (DLMF 13.4.14)
-    U = e^{-i pi a} Gamma(1-a) / (2 pi i) int_inf^(0+) f dt, with
-    f(t) = e^{-x t} t^(a-1) (1+t)^(b-a-1), runs on the quadrature engine: the
-    ray t = r + u / x, weighted by e^{2 pi i a} - 1, plus the circle |t| = r,
-    r = min(1/2, |a-1| / x), through the saddle point (a-1)/x of
-    e^{-x t} t^(a-1) and clear of t = -1.  It holds for any a but a positive
-    integer, where Gamma(1-a) raises PoleError.  The ray halves its step
-    and the circle doubles its panels until two estimates agree;
-    PrecisionLoss is warned when either does not, or when the rounding error
-    eps * sum|summand| exceeds 1e-6 of the sum (small x with Re a << 0, where
-    the circle is held at r = 1/2, far from the saddle point).  Each point
-    of an array has the value a call with that x alone gives; the connection
-    formula's warnings come first, then the loop's, each in point order, and
-    the first point that raises stops the loop, its index in ``.point``.
+    Past it, or where that hands a point over, U comes from its Laplace
+    integral (DLMF 13.4.4) U(c, b, x) = int_0^inf e^{-x t} t^(c-1)
+    (1+t)^(b-c-1) dt / Gamma(c) on the quadrature engine's ray, at
+    c = a + m and c + 1, and then from m steps of the recurrence
+    U(c-1) = (2c - b + x) U(c) - c (c - b + 1) U(c+1) (DLMF 13.3.7), stable
+    downwards in c.  m is the least count with Re c > 3 + 2 |Im a|, where
+    t^(Re c - 1) damps the oscillation t^(i Im a) near t = 0; m = 0 skips
+    the ray at c + 1.  Gamma(c) is built once a call, so U holds for any a
+    where Gamma(c) stays inside the double range (about |Im a| < 69).  The
+    ray halves its step until two estimates agree; PrecisionLoss is warned
+    when it does not, or when its rounding error eps * sum|summand| exceeds
+    1e-6 of the sum.  Each point of an array has the value a call with that
+    x alone gives; the connection formula's warnings come first, then the
+    ray's, each in point order, and the first point that raises stops the
+    ray, its index in ``.point``.
     """
     a, b = complex(a), complex(b)
     xs = np.asarray(x, dtype=float).ravel()
@@ -485,15 +485,28 @@ def tricomi_u(a, b, x):
             for i, value in zip(branch, _tricomi_u_kummer(a, b, xs[branch])):
                 kummer[i] = value
         except PoleError:
-            pass  # every point takes the loop
-    values, loop = np.empty(xs.size, dtype=complex), None
-    for i, (x_i, value) in enumerate(zip(xs.tolist(), kummer)):
+            pass  # every point takes the ray
+    values = np.array([0j if v is None else v for v in kummer], dtype=complex)
+    ray = [i for i, v in enumerate(kummer) if v is None]
+    m = max(0, math.floor(3.0 + 2.0 * abs(a.imag) - a.real) + 1)
+    c, up, inv_gamma = a + m, m > 0, None  # U(c + 1) is needed only to recur
+    u = np.zeros((2, len(ray)), dtype=complex)  # U(c) and U(c + 1) at each ray point
+    for j, i in enumerate(ray):
         try:
-            if value is None:
-                loop = loop or _u_loop_factors(a)  # once a call, at the first loop point
-                value = _u_loop(a, b, x_i, *loop)
-            values[i] = value
+            if not xs[i] > 0.0:
+                raise ValueError("x must be positive")
+            if inv_gamma is None:  # once a call, at the first ray point
+                inv_gamma = 1.0 / gamma_complex(c)
+            what = f"tricomi_u at a = {a:.6g}, b = {b:.6g}, x = {xs[i]:.6g}"
+            u[:1 + up, j] = _u_rays(c, b, float(xs[i]), up, what)
         except Exception as exc:
             exc.point = i
             raise
+    if ray:
+        u *= np.array([[inv_gamma], [inv_gamma / c]])
+    u_c, u_up = u
+    for k in range(m, 0, -1):  # from (U(a+k), U(a+k+1)) to (U(a+k-1), U(a+k))
+        c_k = a + k
+        u_c, u_up = (2.0 * c_k - b + xs[ray]) * u_c - c_k * (c_k - b + 1.0) * u_up, u_c
+    values[ray] = u_c
     return values.reshape(np.shape(x)) if np.ndim(x) else complex(values[0])

@@ -346,26 +346,21 @@ class TestMorseDeepWell:
             "--grid=-0.9225,5.618,61")
 
     def test_barrier_side_rows_match_mpmath(self, capsys, monkeypatch):
-        # the first 10 points lie past U's Kummer crossover (xi > 15.13),
-        # where the Hankel loop sums its ray and its circle: each stops at
-        # the first two levels that agree, at most 401 ray nodes (levels
-        # 0-3) and 300 circle nodes (1, 2, 4 and 8 panels) a point
+        # the first 11 points lie past U's Kummer crossover (xi > 15.12),
+        # where U(c) and U(c + 1) share each level of the ray: at
+        # c = a + 15 each stops at the first two levels that agree, levels
+        # 0-3 here, 401 nodes a point
         nodes = []
-        ray, circle = sf._u_ray_sum, sf._u_circle_sum
+        ray = sf._u_ray_sums
 
-        def counted_ray(a, b, x, r, level):
+        def counted_ray(c, b, x, level, up):
             nodes.append(sf._RAY_LEVELS[level][0].size)
-            return ray(a, b, x, r, level)
+            return ray(c, b, x, level, up)
 
-        def counted_circle(a, b, x, r, panels):
-            nodes.append(panels * sf._GL_NODES.size)
-            return circle(a, b, x, r, panels)
-
-        monkeypatch.setattr(sf, "_u_ray_sum", counted_ray)
-        monkeypatch.setattr(sf, "_u_circle_sum", counted_circle)
+        monkeypatch.setattr(sf, "_u_ray_sums", counted_ray)
         code, out, _ = run(capsys, *self.ARGV)
         assert code == 0
-        assert 0 < sum(nodes) <= 10 * (401 + 300)
+        assert 0 < sum(nodes) <= 11 * 401
         _, rows, _ = read_csv(out)
         assert len(rows) == len(DEEP_WELL_TRUTH)
         for (_, xi, re_phi, im_phi, re_psi, im_psi, _), (re, im, scale) in zip(
@@ -375,6 +370,39 @@ class TestMorseDeepWell:
             # psi = xi^(i kbar) Phi with kbar = sqrt(2)
             pref = cmath.exp(1j * math.sqrt(2.0) * math.log(xi))
             assert abs(complex(re_psi, im_psi) - pref * want) <= 1e-10 * scale, xi
+
+    def test_deepest_well_barrier_rows_match_mpmath(self, capsys):
+        # V0 = 2000 (delta = 63.2), E = 0.5: xi = 28.2 and 17.1 lie past U's
+        # crossover 14.5, on the ray at c = a + 68 and the recurrence down to
+        # a; (Phi, scale) from mpmath at 40 digits, scale as for
+        # DEEP_WELL_TRUTH.  xi = 10.38 keeps the Kummer branch, whose series
+        # cancel and warn
+        truth = ((complex(1.5982293100405654e-05, 5.971102910877802e-07), 0.0016929823490736816),
+                 (complex(-2.5987576921463948e-05, -1.5484026150172745e-05),
+                  0.0012884917182770807))
+        with pytest.warns(sf.PrecisionLoss, match=r"kummer_m at a = -62\.7456\+1j, b = 1\+2j, "
+                                                  r"z = 10\.383"):
+            code, out, _ = run(capsys, "wavefunction", "--kind", "morse_cont", "--param",
+                               "E=0.5", "--param", "V0=2000", "--grid=1.5,2.5,3")
+        assert code == 0
+        rows = read_csv(out)[1]
+        assert [round(r[1], 2) for r in rows] == [28.22, 17.12, 10.38]
+        for row, (want, scale) in zip(rows, truth):
+            assert abs(complex(row[2], row[3]) - want) <= 1e-10 * scale, row[1]
+
+    @pytest.mark.parametrize("energy, depth, grid, z", [
+        ("E=120000", "V0=1", "-1,3,3", "-0.914214+489.898j"),  # the reflection's sin
+        ("E=1", "V0=20000", "3,4,3", "-199.5+1.41421j"),  # Lanczos' t^(z+1/2)
+    ])
+    def test_gamma_past_the_double_range_exits_3_naming_it(self, capsys, energy, depth, grid,
+                                                           z):
+        # Gamma(alpha_-) of the route's prefactor leaves the double range
+        code, out, err = run(capsys, "wavefunction", "--kind", "morse_cont", "--param", energy,
+                             "--param", depth, f"--grid={grid}")
+        assert (code, out) == (3, "")
+        assert err == (f"error: evaluation failed at point 0 (coordinate={grid.split(',')[0]}): "
+                       f"Gamma leaves the double range at z = {z}: its Lanczos form holds for "
+                       "about |Re z| < 141, and |Im z| < 226 for Re z < 1/2, < 457 elsewhere\n")
 
 
 class TestCircleCancellationWarning:

@@ -780,7 +780,7 @@ class TestGridContract:
 
     def test_morse_gammas_once_per_grid(self, monkeypatch):
         # V0 = 1, E = 10: U's Kummer branch ends at x = 19.7, so both grids
-        # hold Kummer points and loop points; Gamma is called by the route
+        # hold Kummer points and ray points; Gamma is called by the route
         # and by tricomi_u, each by its own module's name
         calls = []
 
@@ -797,8 +797,9 @@ class TestGridContract:
             calls.clear()
             phi_values(spec, 10.0, np.linspace(1.0, 40.0, points), Method.MORSE_RAY)
             counts.append(len(calls))
-        # Gamma(alpha_-), U's four Kummer Gammas and its loop's Gamma(1 - a),
-        # five of them by reflection, which calls Gamma once more
+        # Gamma(alpha_-), U's four Kummer Gammas and its ray's Gamma(c)
+        # (Gamma(c + 1) = c Gamma(c)), five of them by reflection, which
+        # calls Gamma once more
         assert counts == [11, 11]
 
 

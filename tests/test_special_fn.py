@@ -7,10 +7,13 @@ closed forms in laguerre_closed_form.py (the residue route's oracle).  Transcend
 high-precision literals.
 """
 
+import csv
 import math
+import re
 import cmath
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,6 +180,17 @@ class TestGamma:
             with pytest.raises(PoleError):
                 gamma_complex(z)
 
+    @pytest.mark.parametrize("z, shown", [
+        (142.5, "142.5+0j"),  # Lanczos' t^(z+1/2) overflows
+        (-141.3 + 0.2j, "-141.3+0.2j"),  # the same factor, at 1 - z
+        (0.3 + 230j, "0.3+230j"),  # the reflection's sin(pi z) overflows
+        (1.0 + 470j, "1+470j"),  # Gamma itself underflows
+    ])
+    def test_past_the_double_range_names_z(self, z, shown):
+        with pytest.raises(OverflowError, match=rf"^Gamma leaves the double range at "
+                                                rf"z = {re.escape(shown)}: .*\|Re z\| < 141"):
+            gamma_complex(z)
+
     @given(
         z=st.complex_numbers(
             min_magnitude=0.1, max_magnitude=8.0, allow_nan=False, allow_infinity=False
@@ -329,7 +343,7 @@ class TestTricomiU:
 
     # (a, b, x, U) past the Kummer crossover, from mpmath hyperu at 40 digits:
     # the deep Morse well V0 = 40, E = 1 and V0 = 1, E = 10 (mu = a = 1) on
-    # the Hankel loop, and two real a > 1/2, also on the loop
+    # the ray and the recurrence, and two real a > 1/2, on the ray alone
     MPMATH = (
         (-8.44 + 1.41j, 1 + 2.83j, 15.2, complex(-24970525.502817813, 20805731.185032953)),
         (-8.44 + 1.41j, 1 + 2.83j, 17.8, complex(18531325.111323938, -26048779.7573399)),
@@ -354,6 +368,28 @@ class TestTricomiU:
     def test_against_mpmath(self):
         for a, b, x, want in self.MPMATH:
             assert abs(tricomi_u(a, b, x) - want) <= 1e-12 * abs(want), (a, b, x)
+
+    # a Morse well's U(alpha_-, beta, x) at mu = a = 1, V0 in {1.2, 5, 40,
+    # 200, 2000} and E in {1e-4, 0.1, 1, 10, 30, 60, 100}: six x a well from
+    # 1.01 times the crossover to 120, or from 0.05 to 90 where b is within
+    # 0.05 of an integer, every one on the ray; mpmath hyperu at 30 digits,
+    # equal to 50 digits within 1e-16.  The two points that warn hold 4e-13
+    MORSE_TABLE = Path(__file__).parent / "golden" / "tricomi_u_morse.csv"
+
+    @pytest.mark.filterwarnings("ignore::laplaceqm.special_fn.PrecisionLoss")
+    def test_morse_wells_against_frozen_mpmath(self):
+        with self.MORSE_TABLE.open() as f:
+            rows = [tuple(map(float, r)) for r in list(csv.reader(f))[1:]]
+        wells = {}
+        for v0, e, x, re_u, im_u in rows:
+            wells.setdefault((v0, e), []).append((x, complex(re_u, im_u)))
+        worst = 0.0
+        for (v0, e), points in wells.items():
+            delta, kbar = math.sqrt(2.0 * v0), math.sqrt(2.0 * e)
+            xs, want = (np.array(v) for v in zip(*points))
+            got = tricomi_u(complex(0.5 - delta, kbar), complex(1.0, 2.0 * kbar), xs)
+            worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
+        assert len(rows) == 210 and worst <= 2e-12
 
     @pytest.mark.filterwarnings("error::laplaceqm.special_fn.PrecisionLoss")
     @pytest.mark.parametrize("b", [0.5, 1 + 0.4j])
@@ -397,22 +433,30 @@ class TestTricomiU:
                                                        tricomi_u(a, b, 8.0)]
 
     def test_failing_point_is_named(self):
-        # a = 2 is a pole of the loop's Gamma(1 - a): the Kummer point
-        # x = 1 answers, the loop point x = 40 raises
-        with pytest.raises(PoleError) as info:
-            tricomi_u(2.0, 0.5, [1.0, 40.0])
-        assert info.value.point == 1
+        # x = 40 is past the crossover 13, on the ray at c = a + 2 = 4;
+        # a negative x raises, its index in .point
+        got = tricomi_u(2.0, 0.5, [1.0, 40.0])
+        want = 0.00055581273573945466738  # mpmath hyperu at 40 digits
+        assert abs(got[1] - want) <= 1e-13 * want
         with pytest.raises(ValueError, match="x must be positive") as info:
             tricomi_u(0.5, 1.5, [1.0, 2.0, -1.0])
         assert info.value.point == 2
 
-    def test_cancelled_loop_warns(self):
-        # b = 1 sends small x past the Kummer form; the loop's circle is held
-        # at r = 1/2, far inside the saddle point |a - 1| / x = 15.6, and its
-        # sum cancels: U(-30 + 3i, 1, 2) is off by 6e-2
-        with pytest.warns(PrecisionLoss, match=r"tricomi_u at a = -30\+3j, b = 1\+0j, x = 2 "
-                                               r"carries a relative rounding error"):
-            tricomi_u(-30 + 3j, 1.0, 2.0)
+    @pytest.mark.filterwarnings("error::laplaceqm.special_fn.PrecisionLoss")
+    def test_deep_a_at_small_x_recurs_from_the_ray(self):
+        # b = 1 sends small x past the Kummer form: the ray at c = a + 40
+        # and the recurrence down to a read U(-30 + 3i, 1, 2) to rounding
+        want = complex(3.5977303814525861314e+35, 3.457828670135294512e+34)  # mpmath, 40 digits
+        assert abs(tricomi_u(-30 + 3j, 1.0, 2.0) - want) <= 1e-14 * abs(want)
+
+    def test_gamma_past_the_double_range_is_named(self):
+        # Gamma(a - b + 1) of the connection formula underflows at x = 1, and
+        # Gamma(c) of the ray, c = a + 143, overflows at its first point
+        with pytest.raises(OverflowError, match=r"at z = 1\.5\+500j"):
+            tricomi_u(1 + 500j, 0.5, 1.0)
+        with pytest.raises(OverflowError, match=r"at z = 143\.5\+70j") as info:
+            tricomi_u(0.5 + 70j, 1.5, [200.0, 300.0])
+        assert info.value.point == 0
 
     def test_power_law_case(self):
         # U(a, a+1, x) = x^(-a) exactly
