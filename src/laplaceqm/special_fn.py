@@ -503,10 +503,10 @@ def tricomi_u(a, b, x):
             exc.point = i
             raise
     if ray:
-        u *= np.array([[inv_gamma], [inv_gamma / c]])
-    u_c, u_up = u
-    for k in range(m, 0, -1):  # from (U(a+k), U(a+k+1)) to (U(a+k-1), U(a+k))
-        c_k = a + k
-        u_c, u_up = (2.0 * c_k - b + xs[ray]) * u_c - c_k * (c_k - b + 1.0) * u_up, u_c
-    values[ray] = u_c
+        u_c, u_up = u * np.array([[inv_gamma], [inv_gamma / c]])
+        x_ray = xs[ray]
+        for k in range(m, 0, -1):  # from (U(a+k), U(a+k+1)) to (U(a+k-1), U(a+k))
+            c_k = a + k
+            u_c, u_up = (2.0 * c_k - b + x_ray) * u_c - c_k * (c_k - b + 1.0) * u_up, u_c
+        values[ray] = u_c
     return values.reshape(np.shape(x)) if np.ndim(x) else complex(values[0])
