@@ -311,35 +311,20 @@ def continuum_phi_real_integral(ode: CanonicalODE, exps: Exponents, xi):
 # Continuum: circle with tracked phases
 
 def phase_phi1(theta, radius):
-    """Winding angle of the arrow from -i to the circle point z(theta).
+    """Winding angle of the arrow from -i to z(theta) = R e^{i(theta + pi/2)}.
 
-    z(theta) = R e^{i(theta + pi/2)}; the angle starts at 0 on the cut's
-    right edge and grows monotonically to 2 pi, assembled from the arcsine
-    principal value corrected to the scheduled quadrant.
+    theta + Arg(1 + w), w = e^{-i theta}/R, grows from 0 on the cut's right
+    edge to 2 pi; |w| < 1 keeps Re(1 + w) > 0, so the principal Arg never wraps.
     """
-    r = float(radius)
     th = np.asarray(theta, dtype=float)
-    sin_val = r * np.sin(th) / np.sqrt(r * r + 1.0 + 2.0 * r * np.cos(th))
-    sigma = np.arcsin(np.clip(sin_val, -1.0, 1.0))
-    lo = math.acos(-1.0 / r)
-    hi = math.pi + math.acos(1.0 / r)
-    out = np.where(th < lo, sigma, np.where(th < hi, math.pi - sigma, 2.0 * math.pi + sigma))
+    out = th + np.angle(1.0 + np.exp(-1j * th) / float(radius))
     return out if np.ndim(theta) else float(out)
 
 
 def phase_phi2(theta, radius):
-    """Winding angle of the arrow from +i; starts at pi (already flipped)."""
-    r = float(radius)
+    """Winding angle of the arrow from +i, pi + theta + Arg(1 - w); pi (flipped) to 3 pi."""
     th = np.asarray(theta, dtype=float)
-    sin_val = -r * np.sin(th) / np.sqrt(r * r + 1.0 - 2.0 * r * np.cos(th))
-    sigma = np.arcsin(np.clip(sin_val, -1.0, 1.0))
-    lo = math.acos(1.0 / r)
-    hi = math.pi + math.acos(-1.0 / r)
-    out = np.where(
-        th < lo,
-        math.pi - sigma,
-        np.where(th < hi, 2.0 * math.pi + sigma, 3.0 * math.pi - sigma),
-    )
+    out = math.pi + th + np.angle(1.0 - np.exp(-1j * th) / float(radius))
     return out if np.ndim(theta) else float(out)
 
 
@@ -366,13 +351,10 @@ _CIRCLE_LEVELS = tuple(ContourConfig.steps // 2**k for k in range(5, -1, -1))
 def _circle_level_sums(ode: CanonicalODE, exps: Exponents, radius_R: float, xi: float):
     """(sum, sum of |summand|) per level: every node of the coarsest, then the new ones."""
     for k, steps in enumerate(_CIRCLE_LEVELS):
-        if k == 0:
-            z, t_plus, t_minus = _circle_terms(ode, exps, radius_R, steps)
-        else:
-            z, t_plus, t_minus = _circle_terms(ode, exps, radius_R, steps // 2, 0.5)
+        z, t_plus, t_minus = (_circle_terms(ode, exps, radius_R, steps) if k == 0
+                              else _circle_terms(ode, exps, radius_R, steps // 2, 0.5))
         with np.errstate(over="ignore", invalid="ignore"):
-            logf = xi * z + t_plus + t_minus
-            summand = 1j * z * np.exp(logf)
+            summand = 1j * z * np.exp(xi * z + t_plus + t_minus)
             sums = np.sum(summand), np.sum(np.abs(summand))
         yield sums
 
@@ -392,12 +374,13 @@ def continuum_phi_circle(
 ):
     """Phi from the uniform-step rule on the circle |z| = R, at each xi.
 
-    The integrand is smooth and periodic, so the plain trapezoid converges
-    geometrically: the rule runs at 3125, 6250, ..., 100000 nodes, each
-    level adding only the odd nodes to the one below it, and stops at the
-    first level that agrees with the one below it (see _refine); a point
-    that converges at once evaluates 6250 summands.  config sets only R, and
-    convention is the reference-point phase (default_phase_convention).
+    The winding phases (phase_phi1, phase_phi2) are closed forms, so the
+    integrand is smooth and periodic and the plain trapezoid converges
+    geometrically: the rule runs at 3125, 6250, ..., 100000 nodes, each level
+    adding only the odd nodes, and stops at the first level that agrees with
+    the one below it (see _refine); a point that converges at once evaluates
+    6250 summands.  config sets only R, and convention is the reference-point
+    phase (default_phase_convention).
     Accuracy is instead lost to cancellation once R*xi grows; when the
     rounding error eps * sum|summand| exceeds 1e-6 of the sum, the sum
     is not finite, or the finest level does not converge, PrecisionLoss is

@@ -230,7 +230,7 @@ def _kummer_block(a, b, z):
 _EPS = float(np.finfo(float).eps)
 _PRECISION_LOSS = 1e-6  # eps * sum|summand| / |sum| above this warns
 _HALVINGS = 6  # a double-exponential rule halves its step at most this often
-# U's connection formula hands a point to the integrals above this rounding
+# U's connection formula hands a point to U's ray above this rounding
 # loss: the Morse continuum's Kummer points in perfbench's morse_scan stay
 # below 5.3e-12, while U(2.5+6i, 0.5, 12.5), off by 0.20, measures 1.3e-2
 _U_CANCELLATION = 1e-10
@@ -387,7 +387,7 @@ def _tricomi_u_kummer(a: complex, b: complex, xs) -> list:
     two Gamma ratios are built once a call, and one kummer_m call sums both
     series at every x, the pairs interleaved so its warnings come point by
     point.  A point whose two terms cancel, eps * (|t1| + |t2|) above
-    _U_CANCELLATION of |t1 + t2|, reads None, and the caller takes U's loop
+    _U_CANCELLATION of |t1 + t2|, reads None, and the caller takes U's ray
     there.  If a series does not settle, every x is summed alone, and a point
     whose series does not settle reads None.
     """

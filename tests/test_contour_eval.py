@@ -440,11 +440,21 @@ class TestCircle:
         conv = default_phase_convention(ode)
         with pytest.warns(PrecisionLoss):
             continuum_phi_circle(ode, exps, conv, 700.0, ContourConfig(radius_R=1.1))
-        # at E = 3e-3 the 100000-node level still moves at xi = 0.5, where
-        # the value is 1.25e-6 off mpmath's hyp1f1: non-convergence warns too
-        _, ode, exps = continuum_setup(Kind.COULOMB3D_CONT, 3e-3)
-        with pytest.warns(PrecisionLoss, match="R\\*xi = 0.55 did not converge"):
+        # at E = 1.5e-3 the Coulomb phase's cancellation on the circle is
+        # measured at xi = 0.5 and warned
+        _, ode, exps = continuum_setup(Kind.COULOMB3D_CONT, 1.5e-3)
+        with pytest.warns(PrecisionLoss, match="R\\*xi = 0.55 carries a relative rounding"):
             continuum_phi_circle(ode, exps, default_phase_convention(ode), 0.5)
+
+    def test_low_energy_point_against_mpmath(self):
+        # coulomb3d_cont at E = 3e-3, xi = 0.5 converges with no warning;
+        # (Im Phi, scale), scale as in WINDOW_TRUTH, from mpmath hyp1f1 at 40 digits
+        im_phi, scale = -2.5643097735028338e+00, 9.1061833285249683e+01
+        _, ode, exps = continuum_setup(Kind.COULOMB3D_CONT, 3e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = continuum_phi_circle(ode, exps, default_phase_convention(ode), 0.5)
+        assert abs(got - 1j * im_phi) <= 2e-9 * scale
 
     def test_config_validation(self):
         # the radius is the one setting; the finest circle level is a constant
@@ -550,12 +560,18 @@ class TestPhaseSchedules:
 
     @pytest.mark.parametrize("r", [1.1, 2.0])
     def test_against_unwrapped_principal_angle(self, r):
-        theta = np.linspace(0.0, 2.0 * math.pi, 4001, endpoint=False)
+        # the grid, plus points just either side of the four angles where the
+        # arrow from -i or +i is horizontal: an arcsine form loses sqrt(eps) there
+        turns = (math.acos(-1.0 / r), math.acos(1.0 / r),
+                 math.pi + math.acos(1.0 / r), math.pi + math.acos(-1.0 / r))
+        near = [t + s * d for t in turns for d in (1e-12, 1e-9, 1e-6) for s in (-1.0, 1.0)]
+        theta = np.sort(np.concatenate(
+            [np.linspace(0.0, 2.0 * math.pi, 4001, endpoint=False), near]))
         z = r * np.exp(1j * (theta + 0.5 * math.pi))
         want1 = np.unwrap(np.angle(z + 1j)) - 0.5 * math.pi
         want2 = np.unwrap(np.angle(z - 1j)) + 0.5 * math.pi
-        assert np.max(np.abs(phase_phi1(theta, r) - want1)) < 1e-10
-        assert np.max(np.abs(phase_phi2(theta, r) - want2)) < 1e-10
+        assert np.max(np.abs(phase_phi1(theta, r) - want1)) < 1e-13
+        assert np.max(np.abs(phase_phi2(theta, r) - want2)) < 1e-13
 
 
 class TestMorseRay:
