@@ -30,9 +30,9 @@ from .core_laplace import (
     log_terms,
 )
 from .special_fn import (
-    _HALVINGS,
     _RAY_H0,
     _RAY_LEVELS,
+    _RAY_SIZES,
     PrecisionLoss,  # noqa: F401  (raised by every route; importable from here)
     _de_abscissae,
     _frozen,
@@ -105,17 +105,17 @@ class WavefunctionGrid:
 
 
 def _each_point(xi, point):
-    """point(x) at each xi in order, as a complex array; a scalar xi gives a complex.
+    """point(i, x) at each x = xi[i] in order, as a complex array; a scalar xi gives a complex.
 
     The one loop over a route's grid points.  It stops at the first point
     that raises, its exception carrying its index in ``.point``, or that is
-    not finite; the points after it are not evaluated and read NaN.
+    not finite; point is not called after it, and the later points read NaN.
     """
     xs = np.asarray(xi, dtype=float)
     values = np.empty(xs.size, dtype=complex)
     for i, x in enumerate(xs.ravel().tolist()):
         try:
-            value = values[i] = point(x)
+            value = values[i] = point(i, x)
         except Exception as exc:
             exc.point = i
             raise
@@ -242,22 +242,23 @@ def _segment_nodes(s):
 
 _SEGMENT_H0 = 0.1
 _SEGMENT_LEVELS = tuple(_segment_nodes(s) for s in _de_abscissae(-5.0, 5.0, _SEGMENT_H0))
+_SEGMENT_SIZES = tuple(x.size for x, *_ in _SEGMENT_LEVELS)
 
 
-def _segment_log_integrand(exps: Exponents, xi: float, x, log_x, log_1mx):
+def _segment_log_integrand(exps: Exponents, xi, x, log_x, log_1mx):
     """2 i xi x + (alpha_- - 1) Log x + (alpha_+ - 1) Log(1 - x), principal logs."""
     return (2j * xi * x + (exps.alpha_minus - 1.0) * log_x
             + (exps.alpha_plus - 1.0) * log_1mx)
 
 
-def _ray_sum(exps: Exponents, xi: float, level: int):
-    """(sum, sum of |summand|) of one level's new nodes on the two rays, t = u / (2 xi).
+def _ray_level(exps: Exponents, xi, k: int):
+    """(sums, sums of |summand|), shape (1, xi.size), of level k's new ray nodes, t = u / (2 xi).
 
     int_0^1 = i int_0^inf [f(it) - f(1 + it)] dt; on x = it, Log x =
     ln t + i pi/2, and on x = 1 + it, Log(1 - x) = ln t - i pi/2.
     """
-    log_u, log_du = _RAY_LEVELS[level]
-    shift = math.log(2.0 * xi)
+    log_u, log_du = _RAY_LEVELS[k]
+    xi, shift = xi[:, None], np.array([math.log(2.0 * x) for x in xi.tolist()])[:, None]
     log_t = log_u - shift
     t = np.exp(log_t)
     with np.errstate(under="ignore"):
@@ -266,15 +267,16 @@ def _ray_sum(exps: Exponents, xi: float, level: int):
         right = np.exp(_segment_log_integrand(
             exps, xi, 1.0 + 1j * t, np.log(1.0 + 1j * t), log_t - 0.5j * math.pi)
             + (log_du - shift))
-    return 1j * (np.sum(left) - np.sum(right)), np.sum(np.abs(left)) + np.sum(np.abs(right))
+    return (1j * (np.sum(left, axis=1) - np.sum(right, axis=1)))[None], (
+        np.sum(np.abs(left), axis=1) + np.sum(np.abs(right), axis=1))[None]
 
 
-def _tanh_sinh_sum(exps: Exponents, xi: float, level: int):
-    """(sum, sum of |summand|) of one level's new nodes on the segment."""
-    x, log_x, log_1mx, log_dx = _SEGMENT_LEVELS[level]
+def _tanh_sinh_level(exps: Exponents, xi, k: int):
+    """(sums, sums of |summand|) of level k's new nodes on the segment, one row per xi."""
+    x, log_x, log_1mx, log_dx = _SEGMENT_LEVELS[k]
     with np.errstate(under="ignore"):
-        summand = np.exp(_segment_log_integrand(exps, xi, x, log_x, log_1mx) + log_dx)
-    return np.sum(summand), np.sum(np.abs(summand))
+        summand = np.exp(_segment_log_integrand(exps, xi[:, None], x, log_x, log_1mx) + log_dx)
+    return np.sum(summand, axis=1)[None], np.sum(np.abs(summand), axis=1)[None]
 
 
 def continuum_phi_real_integral(ode: CanonicalODE, exps: Exponents, xi):
@@ -286,23 +288,28 @@ def continuum_phi_real_integral(ode: CanonicalODE, exps: Exponents, xi):
     and x = 1 + it, where the oscillation becomes the decay e^{-2 xi t}
     (DLMF 13.4(i)), and summed with an exp-sinh rule; below xi = 1 it stays
     on the segment with a tanh-sinh rule (Takahasi & Mori, Publ. RIMS 9
-    (1974) 721-741).  Either rule halves its step up to six times, each
-    level adding only the new nodes, and stops at the first level that
-    agrees with the one before (see _refine): the Coulomb phase
-    x^(-i eta) oscillates faster as the energy falls.  PrecisionLoss is
-    warned when the rounding error eps * sum|summand| exceeds 1e-6 of the
-    sum, or when the finest level does not converge.  C is built once a call.
+    (1974) 721-741).  Either rule halves its step up to six times, a level
+    adding only the new nodes, one array for all live points, and stops a
+    point at its first level that agrees with the one before (see _refine):
+    the Coulomb phase x^(-i eta) oscillates faster as E falls.  PrecisionLoss
+    is warned in point order, index in ``.point``, where eps * sum|summand|
+    exceeds 1e-6 of the sum or the finest level does not converge, up to the
+    first non-finite value; the points after it read NaN.  C is built once a call.
     """
     if ode.regime is not Regime.CONTINUUM:
         raise MethodRegimeMismatch("segment integral applies to the continuum regime")
     pref = _edge_prefactor(ode, exps)
+    xs = np.ravel(np.asarray(xi, dtype=float))
+    total, mass, converged = np.empty(xs.size, complex), np.empty(xs.size), np.empty(xs.size, bool)
+    for pick, level, sizes, h0 in ((xs >= 1.0, _ray_level, _RAY_SIZES, _RAY_H0),
+                                   (~(xs >= 1.0), _tanh_sinh_level, _SEGMENT_SIZES, _SEGMENT_H0)):
+        if pick.any():
+            total[pick], mass[pick], converged[pick] = (v[0] for v in _refine(
+                lambda k, rows: level(exps, xs[pick][rows], k), np.count_nonzero(pick), sizes, h0))
 
-    def point(x):
-        h0, level_sum = (_RAY_H0, _ray_sum) if x >= 1.0 else (_SEGMENT_H0, _tanh_sinh_sum)
-        total, mass, converged = _refine(
-            (level_sum(exps, x, k) for k in range(_HALVINGS + 1)), h0)
-        _warn_inexact(f"real integral at xi = {x:.3g}", total, mass, converged)
-        return pref * cmath.exp(-1j * x) * total
+    def point(i, x):
+        _warn_inexact(f"real integral at xi = {x:.3g}", total[i], mass[i], converged[i], i)
+        return pref * cmath.exp(-1j * x) * total[i]
 
     return _each_point(xi, point)
 
@@ -349,20 +356,20 @@ _CIRCLE_LEVELS = tuple(ContourConfig.steps // 2**k for k in range(5, -1, -1))
 
 
 def _circle_level_sums(ode: CanonicalODE, exps: Exponents, radius_R: float, xi: float):
-    """(sum, sum of |summand|) per level: every node of the coarsest, then the new ones."""
+    """1 x 1 (sum, sum of |summand|) per level: every node of the coarsest, then the new ones."""
     for k, steps in enumerate(_CIRCLE_LEVELS):
         z, t_plus, t_minus = (_circle_terms(ode, exps, radius_R, steps) if k == 0
                               else _circle_terms(ode, exps, radius_R, steps // 2, 0.5))
         with np.errstate(over="ignore", invalid="ignore"):
             summand = 1j * z * np.exp(xi * z + t_plus + t_minus)
-            sums = np.sum(summand), np.sum(np.abs(summand))
+            sums = [[np.sum(summand)]], [[np.sum(np.abs(summand))]]
         yield sums
 
 
 def _segment_sum(power: int, xi: float, panels: int):
     y, w = _segment_panels(panels)
     summand = w * np.exp(1j * xi * y) * (1.0 - y * y) ** power
-    return np.sum(summand), np.sum(np.abs(summand))
+    return [[np.sum(summand)]], [[np.sum(np.abs(summand))]]
 
 
 def continuum_phi_circle(
@@ -378,37 +385,33 @@ def continuum_phi_circle(
     integrand is smooth and periodic and the plain trapezoid converges
     geometrically: the rule runs at 3125, 6250, ..., 100000 nodes, each level
     adding only the odd nodes, and stops at the first level that agrees with
-    the one below it (see _refine); a point that converges at once evaluates
-    6250 summands.  config sets only R, and convention is the reference-point
-    phase (default_phase_convention).
-    Accuracy is instead lost to cancellation once R*xi grows; when the
-    rounding error eps * sum|summand| exceeds 1e-6 of the sum, the sum
-    is not finite, or the finest level does not converge, PrecisionLoss is
-    warned. In the degenerate free case the closed loop encloses nothing
-    and vanishes identically, so the rule integrates straight across the
-    branch-point segment instead, with composite 20-point Gauss-Legendre
-    panels doubled until two estimates agree (at most 4096 panels), warned
-    alike; that value is what the closed contour degenerates to and is
-    independent of R.  Only the factor e^{xi z} is computed per point; the
-    rest comes from _circle_terms, built once per (ode, R, level), or from
-    the panel tables.
+    the one below it (see _refine), one point at a time, since a level holds
+    thousands of nodes; a point that converges at once evaluates 6250
+    summands.  config sets only R; convention is the reference-point phase.
+    Accuracy is lost to cancellation once R*xi grows; PrecisionLoss is warned,
+    its index in ``.point``, when eps * sum|summand| exceeds 1e-6 of the sum,
+    the sum is not finite, or the finest level does not converge.  In the
+    degenerate free case the closed loop encloses nothing, so the rule
+    integrates straight across the branch-point segment instead, with
+    composite 20-point Gauss-Legendre panels doubled until two estimates
+    agree (at most 4096 panels), warned alike; that value is what the closed
+    contour degenerates to, independent of R.  Only e^{xi z} is computed per
+    point; the rest comes from _circle_terms, built once per (ode, R, level).
     """
     if ode.regime is not Regime.CONTINUUM:
         raise MethodRegimeMismatch("circle rule applies to the continuum regime")
     r = (config or ContourConfig()).radius_R
     free = degenerate_free(ode, exps)
     power = int(round(exps.alpha_plus.real)) - 1  # free: alpha_+- one integer, moduli combine
+    sizes, h0 = (([20 * 2**k for k in range(13)], None) if free  # 1 to 4096 panels
+                 else (_CIRCLE_LEVELS, 2.0 * math.pi / _CIRCLE_LEVELS[0]))
 
-    def point(x):
-        if free:
-            total, mass, converged = _refine(_segment_sum(power, x, 2**k) for k in range(13))
-            value = 1j * total
-        else:
-            total, mass, converged = _refine(_circle_level_sums(ode, exps, r, x),
-                                             2.0 * math.pi / _CIRCLE_LEVELS[0])
-            value = total * convention
-        _warn_inexact(f"circle sum at R*xi = {r * x:.3g}", total, mass, converged)
-        return complex(value)
+    def point(i, x):
+        levels = ((_segment_sum(power, x, 2**k) for k in range(13)) if free
+                  else _circle_level_sums(ode, exps, r, x))
+        total, mass, ok = (v[0, 0] for v in _refine(lambda k, _: next(levels), 1, sizes, h0))
+        _warn_inexact(f"circle sum at R*xi = {r * x:.3g}", total, mass, ok, i)
+        return complex(1j * total if free else total * convention)
 
     return _each_point(xi, point)
 
@@ -436,7 +439,7 @@ def continuum_phi_series(ode: CanonicalODE, exps: Exponents, xi):
     pref = _edge_prefactor(ode, exps)
     ratio = gamma_complex(ap) * gamma_complex(am) / gamma_complex(beta)
     return _each_point(
-        xi, lambda x: pref * ratio * cmath.exp(-1j * x) * kummer_m(am, beta, 2j * x))
+        xi, lambda i, x: pref * ratio * cmath.exp(-1j * x) * kummer_m(am, beta, 2j * x))
 
 
 # ---------------------------------------------------------------------------
@@ -453,16 +456,16 @@ def morse_continuum_phi(ode: CanonicalODE, exps: Exponents, xi):
     convergence, so the route takes no tolerance.  Where a Gamma factor
     leaves the double range (Gamma(alpha_minus) past about delta = 141 or
     k-bar = 226, U's ray past about k-bar = 69), gamma_complex raises an
-    OverflowError naming its argument.  The
-    factor before e^{-xi/2} is computed once per call, and tricomi_u is
-    called once with the whole grid, so U's Gamma factors are built once and
-    its Kummer series are summed for every point at once.
+    OverflowError naming its argument.  The factor before e^{-xi/2} is
+    computed once per call, and tricomi_u is called once with the whole grid,
+    so U's Gamma factors are built once and its Kummer series and its ray
+    are summed for every point at once.
     """
     if ode.regime is not Regime.MORSE_CONTINUUM:
         raise MethodRegimeMismatch("ray route applies to the Morse continuum")
     pref = cmath.exp(1j * math.pi * (ode.beta - 1.0)) * gamma_complex(exps.alpha_minus)
-    u = iter(np.ravel(tricomi_u(exps.alpha_minus, ode.beta, xi)).tolist())
-    return _each_point(xi, lambda x: pref * math.exp(-0.5 * x) * next(u))
+    u = np.ravel(tricomi_u(exps.alpha_minus, ode.beta, xi)).tolist()
+    return _each_point(xi, lambda i, x: pref * math.exp(-0.5 * x) * u[i])
 
 
 # ---------------------------------------------------------------------------

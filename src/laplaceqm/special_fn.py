@@ -4,19 +4,18 @@ Hermite polynomials by their three-term recurrence, a Lanczos complex
 Gamma that names z when it leaves the double range, the confluent
 hypergeometric pair M and U, and the quadrature engine that Tricomi U and
 the continuum routes share: nested exp-sinh node tables, Gauss-Legendre
-panels, a stop at the first two estimates that agree, and a PrecisionLoss
-warning from the measured rounding error.  U is the connection formula up
-to its crossover, and past it U's plain Laplace ray at a shifted a and a
-downward recurrence in a.  M and U take arrays: M sums its series for every
-point at once, bit for bit as one point at a time, and U builds its Gamma
-factors once per call.
+panels, one array level driver that stops each point at its first two
+estimates that agree, and a PrecisionLoss warning from the measured
+rounding error.  U is the connection formula up to its crossover, and past
+it U's plain Laplace ray at a shifted a and a downward recurrence in a.  M
+and U take arrays, bit for bit as one point at a time: M sums its series
+for every point at once, and U its ray, one array per level.
 """
 
 from __future__ import annotations
 
 import cmath
 import heapq
-import itertools
 import math
 import warnings
 from functools import lru_cache
@@ -41,7 +40,7 @@ class QuadratureFailure(ArithmeticError):
 
 
 class PrecisionLoss(RuntimeWarning):
-    """Result returned, but cancellation has likely eaten the tolerance."""
+    """Result returned, but cancellation has likely eaten the tolerance; ``.point``: grid index."""
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +229,7 @@ def _kummer_block(a, b, z):
 _EPS = float(np.finfo(float).eps)
 _PRECISION_LOSS = 1e-6  # eps * sum|summand| / |sum| above this warns
 _HALVINGS = 6  # a double-exponential rule halves its step at most this often
+_LEVEL_SUMMANDS = 2**16  # _refine asks for a level in blocks of rows of at most this many nodes
 # U's connection formula hands a point to U's ray above this rounding
 # loss: the Morse continuum's Kummer points in perfbench's morse_scan stay
 # below 5.3e-12, while U(2.5+6i, 0.5, 12.5), off by 0.20, measures 1.3e-2
@@ -265,6 +265,7 @@ def _ray_nodes(s):
 
 _RAY_H0 = 0.2
 _RAY_LEVELS = tuple(_ray_nodes(s) for s in _de_abscissae(-6.0, 4.0, _RAY_H0))
+_RAY_SIZES = tuple(log_u.size for log_u, _ in _RAY_LEVELS)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
@@ -279,37 +280,51 @@ def _segment_panels(panels: int):
     return _frozen(y, w)
 
 
-def _refine(levels, h0=None):
-    """(sum, sum of |summand|, converged) at the first estimate agreeing with the one before.
+def _refine(level, n: int, sizes, h0=None):
+    """Per stream and point, (sum, sum of |summand|, converged) at the first two sums that agree.
 
-    levels yields (sum, sum of |summand|) per level, coarsest first.  Given
-    h0, the rule halves its step per level and level k sums only the nodes
-    it adds, at step h0 / 2^k: T_2m = T_m / 2 + h_2m * sum over the new
-    nodes.  Without h0 each level is a whole estimate.  Two successive sums
-    agree when they differ by at most 1e-13 relative or by the rounding
-    floor 8 eps * sum|summand| that the finer sum already carries.  A
-    non-finite sum stops at once; without agreement the last estimate is the
-    answer, with converged False.
+    level(k, rows) gives level k's (sums, sums of |summand|), each of shape
+    (streams, rows.size), at the points rows of range(n), asked for in blocks
+    of at most _LEVEL_SUMMANDS nodes, rows times sizes[k], or one row.  Given h0,
+    level k adds the nodes of step h0 / 2^k: T_2m = T_m / 2 + h_2m * sum;
+    else it is a whole estimate.  Sums agree within 1e-13 relative or 8 eps *
+    sum|summand|, the finer one's rounding floor.  A stream stops at agreement
+    or a non-finite sum, a point once all its streams have, the rest at the end.
     """
-    prev = None
-    for k, (total, mass) in enumerate(levels):
-        if h0 is not None:
-            h = h0 / 2**k
-            total, mass = ((total * h, mass * h) if prev is None
-                           else (0.5 * prev + h * total, 0.5 * prev_mass + h * mass))
-        if not cmath.isfinite(total):
-            return total, mass, False
-        if prev is not None and abs(total - prev) <= max(1e-13 * abs(total), 8.0 * _EPS * mass):
-            return total, mass, True
+    live = np.arange(n)
+    for k, nodes in enumerate(sizes):
+        step = max(1, _LEVEL_SUMMANDS // nodes)
+        total, mass = (np.concatenate(part, axis=-1) for part in zip(
+            *(level(k, live[i:i + step]) for i in range(0, live.size, step))))
+        if k == 0:
+            out = [np.empty((len(total), n), v.dtype) for v in (total, mass, mass > 0)]
+            stopped = np.zeros(total.shape, bool)
+        with np.errstate(invalid="ignore", over="ignore"):  # a stopped stream's sums are dropped
+            if h0 is not None:
+                h = h0 / 2**k
+                total, mass = ((total * h, mass * h) if k == 0
+                               else (0.5 * prev + h * total, 0.5 * prev_mass + h * mass))
+            finite = np.isfinite(total)
+            agree = finite & (np.abs(total - prev) <= np.maximum(
+                1e-13 * np.abs(total), 8.0 * _EPS * mass)) if k else finite & False
+        ends = ~stopped & (agree | ~finite | (k == len(sizes) - 1))
+        if np.count_nonzero(ends):  # record the streams that stop, drop the points where all have
+            for whole, part in zip(out, (total, mass, agree)):
+                whole[:, live] = np.where(ends, part, whole[:, live])
+            stopped |= ends
+            keep = ~stopped.all(axis=0)
+            if not keep.any():
+                return out
+            live, stopped, total, mass = (v[..., keep] for v in (live, stopped, total, mass))
         prev, prev_mass = total, mass
-    return total, mass, False
 
 
-def _warn_inexact(what: str, total, mass, converged: bool = True, eps: float = _EPS) -> None:
+def _warn_inexact(what: str, total, mass, converged=True, point=None, eps=_EPS) -> None:
     """Warn PrecisionLoss about what, at the caller's caller, for an inexact sum.
 
     Inexact means not finite, not converged, or carrying a relative rounding
-    error eps * sum|summand| / |sum| above 1e-6, eps that of the sum's type.
+    error eps * sum|summand| / |sum| above 1e-6, eps that of the sum's type;
+    point, the sum's grid index, goes in the warning's ``.point``.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         loss = float(eps * mass / np.abs(total))
@@ -321,7 +336,9 @@ def _warn_inexact(what: str, total, mass, converged: bool = True, eps: float = _
         detail = "did not converge at the finest step"
     else:
         detail = f"carries a relative rounding error of {loss:.2g}"
-    warnings.warn(f"{what} {detail}", PrecisionLoss, stacklevel=3)
+    warning = PrecisionLoss(f"{what} {detail}")
+    warning.point = point
+    warnings.warn(warning, stacklevel=3)
 
 
 # ---------------------------------------------------------------------------
@@ -420,36 +437,21 @@ def _tricomi_u_kummer(a: complex, b: complex, xs) -> list:
     return [connect(x, m1, m2) for x, m1, m2 in zip(xs.tolist(), m[0::2], m[1::2])]
 
 
-def _u_ray_sums(c: complex, b: complex, x: float, level: int, up: bool):
-    """[(sum, sum of |summand|)] of one level's new nodes of U's ray t = u / x, arg t = 0.
+def _u_ray_level(c: complex, b: complex, log_x, up: bool, k: int):
+    """(sums, sums of |summand|), shape (1 + up, log_x.size), of level k's new nodes of U's ray.
 
-    The summand at c is e^{-x t} t^(c-1) (1+t)^(b-c-1) dt/ds, taken as
-    exp(log); if up, the same nodes also give c + 1's, that times t / (1+t).
+    The summand at c, t = u / x, is e^{-x t} t^(c-1) (1+t)^(b-c-1) dt/ds, as
+    exp(log); if up, the same nodes give c + 1's, that times t / (1+t).
     """
-    log_u, log_du = _RAY_LEVELS[level]
-    log_x = math.log(x)
+    log_u, log_du = _RAY_LEVELS[k]
+    log_x = log_x[:, None]
     log_t = log_u - log_x
     t = np.exp(log_t)
     with np.errstate(under="ignore"):
         summand = np.exp(-np.exp(log_u) + (c - 1.0) * log_t + (b - c - 1.0) * np.log1p(t)
                          + (log_du - log_x))
     summands = (summand, summand * (t / (1.0 + t))) if up else (summand,)
-    return [(np.sum(s), np.sum(np.abs(s))) for s in summands]
-
-
-def _u_rays(c: complex, b: complex, x: float, up: bool, what: str) -> list:
-    """[int_0^inf e^{-x t} t^(c-1) (1+t)^(b-c-1) dt] at c and, if up, c + 1, warning about what.
-
-    Both integrals share each level's nodes, and each stops at its own first
-    two estimates that agree.
-    """
-    streams = itertools.tee((_u_ray_sums(c, b, x, k, up) for k in range(_HALVINGS + 1)), 1 + up)
-    integrals = []
-    for j, levels in enumerate(streams):
-        total, mass, ok = _refine((sums[j] for sums in levels), _RAY_H0)
-        _warn_inexact(f"{what} (ray at c = {c + j:.6g})", total, mass, ok)
-        integrals.append(total)
-    return integrals
+    return [np.array([np.sum(f(s), axis=1) for s in summands]) for f in (np.asarray, np.abs)]
 
 
 def tricomi_u(a, b, x):
@@ -461,18 +463,17 @@ def tricomi_u(a, b, x):
     Past it, or where that hands a point over, U comes from its Laplace
     integral (DLMF 13.4.4) U(c, b, x) = int_0^inf e^{-x t} t^(c-1)
     (1+t)^(b-c-1) dt / Gamma(c) on the quadrature engine's ray, at
-    c = a + m and c + 1, and then from m steps of the recurrence
+    c = a + m and c + 1, every such point's level summed as one array (see
+    _refine), and then from m steps of the recurrence
     U(c-1) = (2c - b + x) U(c) - c (c - b + 1) U(c+1) (DLMF 13.3.7), stable
     downwards in c.  m is the least count with Re c > 3 + 2 |Im a|, where
     t^(Re c - 1) damps the oscillation t^(i Im a) near t = 0; m = 0 skips
     the ray at c + 1.  Gamma(c) is built once a call, so U holds for any a
     where Gamma(c) stays inside the double range (about |Im a| < 69).  The
-    ray halves its step until two estimates agree; PrecisionLoss is warned
-    when it does not, or when its rounding error eps * sum|summand| exceeds
-    1e-6 of the sum.  Each point of an array has the value a call with that
-    x alone gives; the connection formula's warnings come first, then the
-    ray's, each in point order, and the first point that raises stops the
-    ray, its index in ``.point``.
+    ray warns PrecisionLoss where it does not converge or eps * sum|summand|
+    exceeds 1e-6 of the sum.  Each point has the value it has alone; the
+    connection formula's warnings come first, then the ray's in point order,
+    and the first point that raises stops the ray; both carry its ``.point``.
     """
     a, b = complex(a), complex(b)
     xs = np.asarray(x, dtype=float).ravel()
@@ -489,22 +490,26 @@ def tricomi_u(a, b, x):
     values = np.array([0j if v is None else v for v in kummer], dtype=complex)
     ray = [i for i, v in enumerate(kummer) if v is None]
     m = max(0, math.floor(3.0 + 2.0 * abs(a.imag) - a.real) + 1)
-    c, up, inv_gamma = a + m, m > 0, None  # U(c + 1) is needed only to recur
+    c, up = a + m, m > 0  # U(c + 1) is needed only to recur
+    x_ray = xs[ray]
     u = np.zeros((2, len(ray)), dtype=complex)  # U(c) and U(c + 1) at each ray point
     for j, i in enumerate(ray):
         try:
             if not xs[i] > 0.0:
                 raise ValueError("x must be positive")
-            if inv_gamma is None:  # once a call, at the first ray point
+            if j == 0:  # Gamma(c), then the levels of every ray point at once; x <= 0 raises above
                 inv_gamma = 1.0 / gamma_complex(c)
-            what = f"tricomi_u at a = {a:.6g}, b = {b:.6g}, x = {xs[i]:.6g}"
-            u[:1 + up, j] = _u_rays(c, b, float(xs[i]), up, what)
+                log_x = np.array([math.log(v) if v > 0.0 else 0.0 for v in x_ray.tolist()])
+                u[:1 + up], mass, ok = _refine(lambda k, rows: _u_ray_level(
+                    c, b, log_x[rows], up, k), len(ray), _RAY_SIZES, _RAY_H0)
+            for s in range(1 + up):
+                _warn_inexact(f"tricomi_u at a = {a:.6g}, b = {b:.6g}, x = {xs[i]:.6g} (ray at "
+                              f"c = {c + s:.6g})", u[s, j], mass[s, j], ok[s, j], i)
         except Exception as exc:
             exc.point = i
             raise
     if ray:
         u_c, u_up = u * np.array([[inv_gamma], [inv_gamma / c]])
-        x_ray = xs[ray]
         for k in range(m, 0, -1):  # from (U(a+k), U(a+k+1)) to (U(a+k-1), U(a+k))
             c_k = a + k
             u_c, u_up = (2.0 * c_k - b + x_ray) * u_c - c_k * (c_k - b + 1.0) * u_up, u_c

@@ -76,17 +76,31 @@ def _onset(
     return None
 
 
-def _noting_precision_loss(evaluate) -> Tuple[complex, bool]:
-    """(evaluate(), whether it warned PrecisionLoss); its warnings are passed on."""
-    caught: list = []
-    try:
+def _route_phi(spec, energy, xi, method, config) -> Tuple[np.ndarray, np.ndarray]:
+    """(Phi by method at each xi, NaN where it fails; where a PrecisionLoss's ``.point`` is).
+
+    After a call fails at ``.point``, the points before it are taken again, silenced as they
+    warned already, and the next resumes after it; a failure naming no point fails the rest.
+    """
+    start, values, warned = 0, np.full(xi.shape, complex(np.nan, np.nan)), np.zeros(xi.shape, bool)
+    while start < xi.size:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", PrecisionLoss)
-            value = evaluate()
-    finally:
+            try:
+                values[start:] = phi_values(spec, energy, xi[start:], method, config)
+                failed = xi.size
+            except Exception as exc:
+                failed = start + getattr(exc, "point", xi.size - start)
         for w in caught:
+            if getattr(w.message, "point", None) is not None:
+                warned[start + w.message.point] = True
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
-    return value, any(issubclass(w.category, PrecisionLoss) for w in caught)
+        if start < failed < xi.size:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                values[start:failed] = phi_values(spec, energy, xi[start:failed], method, config)
+        start = failed + 1
+    return values, warned
 
 
 def cross_method_report(
@@ -97,10 +111,11 @@ def cross_method_report(
 ) -> ComparisonReport:
     """Evaluate the three continuum routes on one grid and compare them.
 
-    Evaluation errors are recorded as NaN at the offending point rather than
-    aborting the report; they count as failures for onset detection.  An
-    energy the kind does not admit raises RegimeMismatch, and a cfg the circle
-    does not read MethodRegimeMismatch, before any route runs.
+    Each route is called once per grid and once after each failed point (see
+    _route_phi).  Evaluation errors are recorded as NaN at the offending point
+    rather than aborting the report; they count as failures for onset
+    detection.  An energy the kind does not admit raises RegimeMismatch, and a
+    cfg the circle does not read MethodRegimeMismatch, before any route runs.
     """
     if spec.kind not in CONTINUUM_KINDS:
         raise MethodRegimeMismatch(
@@ -111,25 +126,12 @@ def cross_method_report(
     _check_method(spec, Method.CIRCLE, energy, cfg)
     methods = ROUTES[spec.kind]
     xi = np.asarray(list(grid), dtype=float)
-    values: Dict[Method, np.ndarray] = {}
-    warned = np.zeros(xi.shape, dtype=bool)  # where the reference warned PrecisionLoss
+    values, warned = {}, {}  # per route: Phi, and where it warned PrecisionLoss
     for m in methods:
-        out = np.empty(xi.shape, dtype=complex)
-        for i, x in enumerate(xi):
-            def evaluate():
-                config = cfg if m is Method.CIRCLE else None
-                return phi_values(spec, energy, np.array([x]), m, config)[0]
-            try:
-                if m is Method.REAL_INTEGRAL:
-                    out[i], warned[i] = _noting_precision_loss(evaluate)
-                else:
-                    out[i] = evaluate()
-            except Exception:
-                out[i] = complex(np.nan, np.nan)
-        values[m] = out
+        values[m], warned[m] = _route_phi(spec, energy, xi, m, cfg if m is Method.CIRCLE else None)
 
     ref = values[Method.REAL_INTEGRAL]
-    reliable = np.isfinite(ref) & ~warned
+    reliable = np.isfinite(ref) & ~warned[Method.REAL_INTEGRAL]
     ok = reliable & (np.abs(ref) > _REFERENCE_FLOOR)
     deviations: Dict[Tuple[Method, Method], np.ndarray] = {}
     for i, a in enumerate(methods):

@@ -349,15 +349,16 @@ class TestMorseDeepWell:
         # the first 11 points lie past U's Kummer crossover (xi > 15.12),
         # where U(c) and U(c + 1) share each level of the ray: at
         # c = a + 15 each stops at the first two levels that agree, levels
-        # 0-3 here, 401 nodes a point
+        # 0-3 here, 401 nodes a point; each level is summed for its live
+        # points at once, so the count is nodes times live rows
         nodes = []
-        ray = sf._u_ray_sums
+        ray = sf._u_ray_level
 
-        def counted_ray(c, b, x, level, up):
-            nodes.append(sf._RAY_LEVELS[level][0].size)
-            return ray(c, b, x, level, up)
+        def counted_ray(c, b, log_x, up, k):
+            nodes.append(sf._RAY_LEVELS[k][0].size * log_x.size)
+            return ray(c, b, log_x, up, k)
 
-        monkeypatch.setattr(sf, "_u_ray_sums", counted_ray)
+        monkeypatch.setattr(sf, "_u_ray_level", counted_ray)
         code, out, _ = run(capsys, *self.ARGV)
         assert code == 0
         assert 0 < sum(nodes) <= 11 * 401

@@ -415,16 +415,22 @@ class TestTricomiU:
 
     def test_mixed_grid_equals_its_points_alone(self):
         # crossover 22: x = 2 and 0.7 keep the Kummer branch, x = 12.5
-        # cancels there and takes the loop, x = 30 is past the crossover
+        # cancels there and takes U's ray, x = 30 is past the crossover
         a, b = 2.5 + 6j, 0.5
         grid = [2.0, 12.5, 30.0, 0.7]
         assert [v is None for v in _tricomi_u_kummer(a, b, [2.0, 12.5, 0.7])] == [
             False, True, False]
         assert tricomi_u(a, b, np.array(grid)).tolist() == [tricomi_u(a, b, x) for x in grid]
+        # crossover 16, m = 11: from just past it to 8 times it, the ray
+        # points stop at two levels, 3 and 4, and each row's sums are still
+        # that point's own
+        a, b = -3 + 2j, 1 + 4j
+        grid = np.geomspace(16.32, 128.0, 8)
+        assert tricomi_u(a, b, grid).tolist() == [tricomi_u(a, b, x) for x in grid]
 
-    def test_unsettled_point_alone_takes_the_loop(self, monkeypatch):
+    def test_unsettled_point_alone_takes_the_ray(self, monkeypatch):
         # with a 40-term cap, M(1 + i/2, 1/2, x) settles at x = 3 but not at
-        # x = 8, so each point is summed alone and only x = 8 takes the loop
+        # x = 8, so each point is summed alone and only x = 8 takes U's ray
         monkeypatch.setattr(special_fn, "_MAX_KUMMER_TERMS", 40)
         a, b = 1 + 0.5j, 0.5
         kummer = _tricomi_u_kummer(a, b, [3.0, 8.0])
