@@ -342,8 +342,8 @@ def _circle_terms(ode: CanonicalODE, exps: Exponents, radius_R: float, steps: in
 
     (z, t_plus, t_minus): the nodes at theta = 2 pi (j + shift) / steps and
     the two log_terms at the tracked winding phases.  shift = 1/2 gives the
-    nodes a halving adds.  One entry per rule level suffices because a
-    grid's points are evaluated back to back with the same ode and R.
+    nodes a halving adds.  One entry per rule level suffices: a grid's row
+    blocks of one level, and _route_phi's re-calls, share the ode and R.
     """
     theta = (np.arange(steps) + shift) * (2.0 * math.pi / steps)
     z = radius_R * np.exp(1j * (theta + 0.5 * math.pi))
@@ -353,23 +353,6 @@ def _circle_terms(ode: CanonicalODE, exps: Exponents, radius_R: float, steps: in
 
 # node counts of the circle's trapezoid levels, 3125 to 100000, coarsest first
 _CIRCLE_LEVELS = tuple(ContourConfig.steps // 2**k for k in range(5, -1, -1))
-
-
-def _circle_level_sums(ode: CanonicalODE, exps: Exponents, radius_R: float, xi: float):
-    """1 x 1 (sum, sum of |summand|) per level: every node of the coarsest, then the new ones."""
-    for k, steps in enumerate(_CIRCLE_LEVELS):
-        z, t_plus, t_minus = (_circle_terms(ode, exps, radius_R, steps) if k == 0
-                              else _circle_terms(ode, exps, radius_R, steps // 2, 0.5))
-        with np.errstate(over="ignore", invalid="ignore"):
-            summand = 1j * z * np.exp(xi * z + t_plus + t_minus)
-            sums = [[np.sum(summand)]], [[np.sum(np.abs(summand))]]
-        yield sums
-
-
-def _segment_sum(power: int, xi: float, panels: int):
-    y, w = _segment_panels(panels)
-    summand = w * np.exp(1j * xi * y) * (1.0 - y * y) ** power
-    return [[np.sum(summand)]], [[np.sum(np.abs(summand))]]
 
 
 def continuum_phi_circle(
@@ -385,18 +368,19 @@ def continuum_phi_circle(
     integrand is smooth and periodic and the plain trapezoid converges
     geometrically: the rule runs at 3125, 6250, ..., 100000 nodes, each level
     adding only the odd nodes, and stops at the first level that agrees with
-    the one below it (see _refine), one point at a time, since a level holds
-    thousands of nodes; a point that converges at once evaluates 6250
-    summands.  config sets only R; convention is the reference-point phase.
-    Accuracy is lost to cancellation once R*xi grows; PrecisionLoss is warned,
-    its index in ``.point``, when eps * sum|summand| exceeds 1e-6 of the sum,
-    the sum is not finite, or the finest level does not converge.  In the
-    degenerate free case the closed loop encloses nothing, so the rule
-    integrates straight across the branch-point segment instead, with
-    composite 20-point Gauss-Legendre panels doubled until two estimates
-    agree (at most 4096 panels), warned alike; that value is what the closed
-    contour degenerates to, independent of R.  Only e^{xi z} is computed per
-    point; the rest comes from _circle_terms, built once per (ode, R, level).
+    the one below it (see _refine), one array for all live points; a point
+    that converges at once evaluates 6250 summands.  config sets only R;
+    convention is the reference-point phase.  Accuracy is lost to cancellation
+    once R*xi grows; PrecisionLoss is warned in point order, index in
+    ``.point``, where eps * sum|summand| exceeds 1e-6 of the sum or the finest
+    level does not converge, up to the first non-finite value; the points
+    after it read NaN.  In the degenerate free case the closed loop encloses
+    nothing, so the rule integrates straight across the branch-point segment
+    instead, with composite 20-point Gauss-Legendre panels doubled until two
+    estimates agree (at most 4096 panels), warned alike; that value is what
+    the closed contour degenerates to, independent of R.  Only e^{xi z} is
+    computed per point; the rest comes from _circle_terms, built once per
+    (ode, R, level).
     """
     if ode.regime is not Regime.CONTINUUM:
         raise MethodRegimeMismatch("circle rule applies to the continuum regime")
@@ -405,13 +389,28 @@ def continuum_phi_circle(
     power = int(round(exps.alpha_plus.real)) - 1  # free: alpha_+- one integer, moduli combine
     sizes, h0 = (([20 * 2**k for k in range(13)], None) if free  # 1 to 4096 panels
                  else (_CIRCLE_LEVELS, 2.0 * math.pi / _CIRCLE_LEVELS[0]))
+    xs = np.ravel(np.asarray(xi, dtype=float))
+
+    def level(k, rows):  # (sums, sums of |summand|), shape (1, rows.size), of level k's nodes
+        with np.errstate(over="ignore", invalid="ignore"):
+            if free:
+                y, w = _segment_panels(2**k)
+                summand = w * np.exp(1j * xs[rows, None] * y) * (1.0 - y * y) ** power
+            else:  # every node of the coarsest level, then the ones a halving adds
+                z, t_plus, t_minus = (_circle_terms(ode, exps, r, _CIRCLE_LEVELS[0]) if k == 0
+                                      else _circle_terms(ode, exps, r, _CIRCLE_LEVELS[k] // 2, 0.5))
+                summand = xs[rows, None] * z  # in place from here: a block's arrays are large
+                summand += t_plus
+                summand += t_minus
+                summand = np.multiply(1j * z, np.exp(summand, out=summand), out=summand)
+            return np.sum(summand, axis=1)[None], np.sum(np.abs(summand), axis=1)[None]
+
+    if xs.size:
+        total, mass, converged = (v[0] for v in _refine(level, xs.size, sizes, h0))
 
     def point(i, x):
-        levels = ((_segment_sum(power, x, 2**k) for k in range(13)) if free
-                  else _circle_level_sums(ode, exps, r, x))
-        total, mass, ok = (v[0, 0] for v in _refine(lambda k, _: next(levels), 1, sizes, h0))
-        _warn_inexact(f"circle sum at R*xi = {r * x:.3g}", total, mass, ok, i)
-        return complex(1j * total if free else total * convention)
+        _warn_inexact(f"circle sum at R*xi = {r * x:.3g}", total[i], mass[i], converged[i], i)
+        return complex(1j * total[i] if free else total[i] * convention)
 
     return _each_point(xi, point)
 

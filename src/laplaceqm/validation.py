@@ -18,6 +18,7 @@ from .contour_eval import (
 from .potential_catalog import (
     BOUND_KINDS,
     CONTINUUM_KINDS,
+    DomainError,
     InvalidQuantumNumbers,
     NotBoundProblem,
     ProblemSpec,
@@ -114,8 +115,9 @@ def cross_method_report(
     Each route is called once per grid and once after each failed point (see
     _route_phi).  Evaluation errors are recorded as NaN at the offending point
     rather than aborting the report; they count as failures for onset
-    detection.  An energy the kind does not admit raises RegimeMismatch, and a
-    cfg the circle does not read MethodRegimeMismatch, before any route runs.
+    detection.  An energy the kind does not admit raises RegimeMismatch, a
+    cfg the circle does not read MethodRegimeMismatch, and a grid value not
+    >= 0 DomainError, before any route runs.
     """
     if spec.kind not in CONTINUUM_KINDS:
         raise MethodRegimeMismatch(
@@ -126,6 +128,8 @@ def cross_method_report(
     _check_method(spec, Method.CIRCLE, energy, cfg)
     methods = ROUTES[spec.kind]
     xi = np.asarray(list(grid), dtype=float)
+    if not (xi >= 0.0).all():  # no radius maps below 0; NaN fails too
+        raise DomainError(f"xi must be nonnegative, got xi = {xi[~(xi >= 0.0)][0]:.6g}")
     values, warned = {}, {}  # per route: Phi, and where it warned PrecisionLoss
     for m in methods:
         values[m], warned[m] = _route_phi(spec, energy, xi, m, cfg if m is Method.CIRCLE else None)

@@ -186,10 +186,13 @@ class TestWavefunctionCommand:
         assert err == f"error: coulomb3d_cont needs finite E > 0, got E = {float(energy)}\n"
 
     def test_negative_radial_grid_rejected(self, capsys):
-        code, _, err = run(capsys, "wavefunction", "--kind", "free3d",
-                           "--param", "E=1", "--grid=-1,5,4")
-        assert code == 2
-        assert "nonnegative" in err
+        # no radius maps to xi < 0, so validate rejects such a xi grid too
+        for command, kind, name in (("wavefunction", "free3d", "radial coordinate"),
+                                    ("validate", "coulomb3d_cont", "xi")):
+            code, out, err = run(capsys, command, "--kind", kind,
+                                 "--param", "E=1", "--grid=-1,5,4")
+            assert (code, out) == (2, ""), command
+            assert "nonnegative" in err and name in err, command
 
     def test_label_below_start_rejected(self, capsys):
         code, _, err = run(capsys, "wavefunction", "--kind", "coulomb3d",

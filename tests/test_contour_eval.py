@@ -750,9 +750,22 @@ class TestGridContract:
                     (partial(continuum_phi_circle, ode, exps, conv,
                              config=ContourConfig(1.3)), grid),
                     (partial(continuum_phi_series, ode, exps), grid)]
+        # the circle's and the free segment's row sums: 23 points span two row
+        # blocks of the 3125-node first level; at R = 1.3 every point stops at
+        # the second level, the later ones warned, at R = 1.001 they stop at
+        # the second to the fifth; the segment's points up to xi = 40 stop at
+        # 2, 4 and 8 panels
+        _, ode, exps = continuum_setup(Kind.COULOMB3D_CONT, 1.0)
+        conv = default_phase_convention(ode)
+        out += [(partial(continuum_phi_circle, ode, exps, conv, config=ContourConfig(r)),
+                 np.linspace(0.0, 30.0, 23).tolist()) for r in (1.3, 1.001)]
+        _, ode, exps = continuum_setup(Kind.FREE3D, 2.0, l_quantum=1)
+        out.append((partial(continuum_phi_circle, ode, exps, default_phase_convention(ode)),
+                    [0.5, 3.0, 10.0, 20.0, 40.0]))
         _, ode, exps = continuum_setup(Kind.MORSE_CONT, 1.0, morse_v0=1.2)
         return out + [(partial(morse_continuum_phi, ode, exps), [0.5, 9.0, 20.0])]
 
+    @pytest.mark.filterwarnings("ignore::laplaceqm.contour_eval.PrecisionLoss")
     def test_grid_equals_point_by_point(self):
         for route, grid in self.routes():
             on_grid = route(np.array(grid))
@@ -764,21 +777,16 @@ class TestGridContract:
             for x in (grid[0], np.float64(grid[0]), np.array(grid[0])):
                 assert type(route(x)) is complex, route
 
-    @pytest.mark.filterwarnings("ignore::laplaceqm.contour_eval.PrecisionLoss")
-    def test_no_point_after_the_first_non_finite_one(self, monkeypatch):
-        # R*xi = 1.1 * 1000 overflows the circle sum to NaN; xi = 2 is never summed
-        seen = []
-
-        def counted(ode, exps, radius_R, xi):
-            seen.append(xi)
-            return level_sums(ode, exps, radius_R, xi)
-
-        level_sums = ce._circle_level_sums
-        monkeypatch.setattr(ce, "_circle_level_sums", counted)
+    def test_no_point_after_the_first_non_finite_one(self):
+        # R*xi = 1.1 * 1000 overflows the circle sum to NaN: it is the one point
+        # warned, and xi = 2, summed with it, reads NaN
         _, ode, exps = continuum_setup(Kind.COULOMB3D_CONT, 1.0)
-        got = continuum_phi_circle(ode, exps, default_phase_convention(ode), [1.0, 1000.0, 2.0])
-        assert seen == [1.0, 1000.0]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = continuum_phi_circle(ode, exps, default_phase_convention(ode),
+                                       [1.0, 1000.0, 2.0])
         assert np.isfinite(got[0]) and not np.isfinite(got[1]) and np.isnan(got[2])
+        assert [(w.category, w.message.point) for w in caught] == [(PrecisionLoss, 1)]
 
     def test_edge_prefactor_once_per_grid(self, monkeypatch):
         calls = []
